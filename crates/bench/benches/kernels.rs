@@ -6,11 +6,8 @@
 //! cycles. Useful for catching performance regressions in the timing
 //! models.
 //!
-//! By default the in-tree timing harness below runs (plain `main`, no
-//! external crates, works offline). Building with
-//! `--features bench-external` switches to criterion for statistically
-//! rigorous sampling; that path needs the network and a manually added
-//! dev-dependency (`criterion = "0.5"`) — see crates/bench/Cargo.toml.
+//! The timing harness is in-tree (plain `main`, no external crates,
+//! works offline).
 
 #![allow(clippy::explicit_counter_loop)]
 
@@ -25,7 +22,7 @@ use maple_workloads::sdhp::Sdhp;
 use maple_workloads::spmv::Spmv;
 use maple_workloads::Variant;
 
-// --- the workloads under measurement (shared by both harnesses) ---------
+// --- the workloads under measurement ------------------------------------
 
 fn spmv_instance() -> Spmv {
     let a = uniform_sparse(24, 8192, 4, 3);
@@ -108,9 +105,8 @@ fn run_engine_1k_data_produces() -> u64 {
     acks
 }
 
-// --- default harness: in-tree timing, zero dependencies -----------------
+// --- harness: in-tree timing, zero dependencies -------------------------
 
-#[cfg(not(feature = "bench-external"))]
 mod harness {
     use std::hint::black_box;
     use std::time::Instant;
@@ -133,9 +129,8 @@ mod harness {
     }
 }
 
-#[cfg(not(feature = "bench-external"))]
 fn main() {
-    println!("in-tree micro-bench (use --features bench-external for criterion)");
+    println!("in-tree micro-bench");
     let spmv = spmv_instance();
     harness::bench("spmv/doall_1t", 10, || run_spmv_doall_1t(&spmv));
     harness::bench("spmv/maple_dec_2t", 10, || run_spmv_maple_dec_2t(&spmv));
@@ -143,55 +138,4 @@ fn main() {
     harness::bench("sdhp/lima_1t", 10, || run_sdhp_lima_1t(&sdhp));
     harness::bench("noc_4x4_saturated_1k_ticks", 20, run_noc_4x4_saturated_1k_ticks);
     harness::bench("engine_1k_data_produces", 20, run_engine_1k_data_produces);
-}
-
-// --- optional harness: criterion (network + manual dep required) --------
-
-#[cfg(feature = "bench-external")]
-mod external {
-    use super::*;
-    use criterion::{criterion_group, criterion_main, Criterion};
-
-    fn bench_spmv(c: &mut Criterion) {
-        let inst = spmv_instance();
-        let mut g = c.benchmark_group("spmv");
-        g.sample_size(10);
-        g.bench_function("doall_1t", |b| b.iter(|| run_spmv_doall_1t(&inst)));
-        g.bench_function("maple_dec_2t", |b| b.iter(|| run_spmv_maple_dec_2t(&inst)));
-        g.finish();
-    }
-
-    fn bench_sdhp_lima(c: &mut Criterion) {
-        let inst = sdhp_instance();
-        let mut g = c.benchmark_group("sdhp");
-        g.sample_size(10);
-        g.bench_function("lima_1t", |b| b.iter(|| run_sdhp_lima_1t(&inst)));
-        g.finish();
-    }
-
-    fn bench_noc(c: &mut Criterion) {
-        c.bench_function("noc_4x4_saturated_1k_ticks", |b| {
-            b.iter(run_noc_4x4_saturated_1k_ticks);
-        });
-    }
-
-    fn bench_engine_produce(c: &mut Criterion) {
-        c.bench_function("engine_1k_data_produces", |b| {
-            b.iter(run_engine_1k_data_produces);
-        });
-    }
-
-    criterion_group!(
-        benches,
-        bench_spmv,
-        bench_sdhp_lima,
-        bench_noc,
-        bench_engine_produce
-    );
-    criterion_main!(benches);
-}
-
-#[cfg(feature = "bench-external")]
-fn main() {
-    external::benches();
 }

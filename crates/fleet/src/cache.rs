@@ -10,9 +10,9 @@
 //! per-suite TSV caches required a manual delete to pick up config
 //! edits; this cache cannot serve a stale row by construction.
 //!
-//! Writes go through a temp file + rename so concurrent writers (e.g.
-//! two fleet workers finishing the same key after a racey double miss)
-//! leave a complete entry either way.
+//! Writes go through a temp file + rename so concurrent writers (two
+//! figure binaries, or two test processes, missing on the same key at
+//! once) leave a complete entry either way.
 //!
 //! Entries carry an integrity header (`maple-fleet-entry v2
 //! len=<bytes> sum=<digest>`): a load that finds a truncated, corrupt,
@@ -20,9 +20,9 @@
 //! filesystem that reordered the data flush, bit-rot, or a
 //! pre-integrity-era entry — treats it as a **miss and evicts the
 //! entry**, never a panic or a garbage row bubbling into a batch. The
-//! caller recomputes and overwrites; a distributed fleet pooling one
-//! cache directory can therefore survive any worker dying at any point
-//! of a `put`.
+//! caller recomputes and overwrites, so a process killed at any point
+//! of a `put` (an interrupted sweep, a cancelled test run) never leaves
+//! the cache serving a bad row.
 
 use std::fs;
 use std::io;

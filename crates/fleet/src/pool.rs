@@ -91,47 +91,20 @@ impl Default for FleetConfig {
     }
 }
 
-/// How a failed job failed — the pool's own panic isolation, a runner
-/// that returned a typed failure, or the remote layer's error taxonomy
-/// (see [`crate::net::RemoteError`]) threaded through by the coordinator.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FailureKind {
-    /// The job panicked on every granted attempt.
-    Panic,
-    /// The job ran to completion but reported failure (worker runner or
-    /// local fallback returned `Err`).
-    Exec,
-    /// The distributed layer failed the job with a typed network error.
-    Remote(crate::net::RemoteError),
-}
-
-impl fmt::Display for FailureKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FailureKind::Panic => f.write_str("panicked"),
-            FailureKind::Exec => f.write_str("failed"),
-            FailureKind::Remote(e) => write!(f, "failed remotely ({e})"),
-        }
-    }
-}
-
-/// A job that exhausted its attempts.
+/// A job that panicked on every granted attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobError {
-    /// The final failure payload, rendered.
+    /// The final panic payload, rendered.
     pub message: String,
     /// Executions performed (1 + retries granted).
     pub attempts: u32,
-    /// What kind of failure ended the attempts.
-    pub kind: FailureKind,
 }
 
 impl fmt::Display for JobError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "job {} after {} attempt{}: {}",
-            self.kind,
+            "job panicked after {} attempt{}: {}",
             self.attempts,
             if self.attempts == 1 { "" } else { "s" },
             self.message
@@ -359,7 +332,6 @@ where
                         result: Err(JobError {
                             message: panic_message(&*payload),
                             attempts,
-                            kind: FailureKind::Panic,
                         }),
                         stats: stats(attempts),
                     };
@@ -515,7 +487,10 @@ mod tests {
         assert_eq!(*batch.outcomes[0].result.as_ref().unwrap(), 1);
         let err = batch.outcomes[1].result.as_ref().expect_err("job 1 fails");
         assert_eq!(err.attempts, 4, "1 initial + 3 retries");
-        assert_eq!(err.kind, FailureKind::Panic);
+        assert!(
+            err.to_string().starts_with("job panicked after 4 attempts:"),
+            "{err}"
+        );
         assert!(err.message.contains("always broken"), "{err}");
         assert_eq!(calls.load(Ordering::SeqCst), 4, "executed exactly 4 times");
         assert_eq!(batch.stats.retries, 3);
