@@ -14,9 +14,9 @@ use std::path::PathBuf;
 use maple_bench::experiments::{decoupling_suite, prefetch_suite, prior_work_suite, FleetLine};
 use maple_bench::rtt::measure_roundtrip;
 use maple_bench::scaling::{scaling_sweep, SCALE_TILES};
-use maple_bench::stepper::{fast_path_comparison, partitioned_sweep, stall_heavy_comparison};
+use maple_bench::stepper::{partitioned_sweep, stall_heavy_comparison};
 use maple_bench::summary::{
-    build_json, readme_scaling_table, readme_throughput_table, FastPathLine, HarnessLine,
+    build_json, readme_scaling_table, readme_throughput_table, HarnessLine,
     PartitionedLine, ServingLine, StepperLine, README_SCALING_BEGIN, README_SCALING_END,
     README_TABLE_BEGIN, README_TABLE_END,
 };
@@ -94,23 +94,6 @@ fn main() {
         speedup: cmp.speedup(),
     };
 
-    eprintln!("[bench_summary] measuring compiled fast-path throughput...");
-    let fp = fast_path_comparison(0x57E9);
-    assert!(
-        fp.divergence().is_none(),
-        "fast path diverged: {:?}",
-        fp.divergence()
-    );
-    let fast_path = FastPathLine {
-        cycles: fp.fast.cycles,
-        host_cores,
-        interpreted_mcycles_per_sec: fp.interpreted.mcycles_per_sec(),
-        fast_path_mcycles_per_sec: fp.fast.mcycles_per_sec(),
-        speedup: fp.speedup(),
-        fast_path_runs: fp.fast.fast_path_runs,
-        interpreted_ticks: fp.fast.interpreted_ticks,
-    };
-
     eprintln!("[bench_summary] measuring partitioned stepper throughput...");
     let sweep = partitioned_sweep(0x57E9, &[2, 4], None);
     assert!(
@@ -178,7 +161,6 @@ fn main() {
         &harness,
         Some(&stepper),
         Some(&partitioned),
-        Some(&fast_path),
         Some(&serving),
         Some(&scaling),
     );

@@ -11,12 +11,6 @@
 //! host-independent lines so `ci.sh` can byte-diff the output across
 //! worker counts.
 //!
-//! With `--fast-path` it runs the compiled fast-path determinism gate:
-//! the mixed SPMV MAPLE-decoupled workload and the compute-heavy kernel
-//! under interpreter vs batched micro-op-run dispatch, across steppers
-//! and the recoverable chaos schedules, again printing only
-//! host-independent lines for the cross-worker byte-diff.
-//!
 //! With `--scale N` it runs the hierarchical-fabric determinism gate:
 //! an `N`-tile clustered SoC (4×4 crossbar clusters, one L2 bank and
 //! one MAPLE engine per cluster) under the skipping stepper vs a
@@ -29,12 +23,42 @@
 //! host: on a 1-core container the parallel stepper cannot win, so the
 //! expectation is **skipped** (exit 0, with an explicit skip line) —
 //! only the bit-exactness gates above apply there.
+//!
+//! Any other argument, a missing or non-positive value, or more than one
+//! flag prints the usage line and exits 2.
 
 use maple_bench::report::FigureReport;
 use maple_bench::scaling::scale_gate;
-use maple_bench::stepper::{
-    fast_path_gate, partitioned_gate, partitioned_sweep, stall_heavy_comparison,
-};
+use maple_bench::stepper::{partitioned_gate, partitioned_sweep, stall_heavy_comparison};
+
+const USAGE: &str = "usage: stepper_check [--partitions N | --scale TILES | --speedup-floor X]";
+
+/// The gate selected on the command line.
+enum Mode {
+    Default,
+    Partitions(usize),
+    Scale(usize),
+    SpeedupFloor(f64),
+}
+
+/// Parses the arguments after the program name; `None` on anything the
+/// usage line does not allow.
+fn parse_mode(args: &[String]) -> Option<Mode> {
+    match args {
+        [] => Some(Mode::Default),
+        [flag, value] => match flag.as_str() {
+            "--partitions" => value.parse().ok().filter(|&n| n > 0).map(Mode::Partitions),
+            "--scale" => value.parse().ok().filter(|&n| n > 0).map(Mode::Scale),
+            "--speedup-floor" => value
+                .parse()
+                .ok()
+                .filter(|&f: &f64| f > 0.0)
+                .map(Mode::SpeedupFloor),
+            _ => None,
+        },
+        _ => None,
+    }
+}
 
 fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -70,55 +94,32 @@ fn speedup_floor_gate(floor: f64) -> i32 {
     0
 }
 
+/// Prints a host-independent gate report, or the divergence and exits 1.
+fn emit_gate(result: Result<String, String>, failure: &str) {
+    match result {
+        Ok(report) => println!("{report}"),
+        Err(msg) => {
+            eprintln!("[stepper_check] {failure}\n{msg}");
+            std::process::exit(1);
+        }
+    }
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--speedup-floor") {
-        let floor: f64 = args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .filter(|&f| f > 0.0)
-            .expect("--speedup-floor takes a positive number");
-        std::process::exit(speedup_floor_gate(floor));
-    }
-    if args.iter().any(|a| a == "--fast-path") {
-        match fast_path_gate(0x57E9) {
-            Ok(report) => println!("{report}"),
-            Err(msg) => {
-                eprintln!("[stepper_check] FAST-PATH DIVERGENCE\n{msg}");
-                std::process::exit(1);
-            }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some(mode) = parse_mode(&args) else {
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    };
+    match mode {
+        Mode::Default => {}
+        Mode::SpeedupFloor(floor) => std::process::exit(speedup_floor_gate(floor)),
+        Mode::Scale(tiles) => {
+            return emit_gate(scale_gate(0x5CA1E, tiles), "HIERARCHICAL FABRIC DIVERGENCE");
         }
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--scale") {
-        let tiles: usize = args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-            .expect("--scale takes a positive tile count (a square multiple of 16)");
-        match scale_gate(0x5CA1E, tiles) {
-            Ok(report) => println!("{report}"),
-            Err(msg) => {
-                eprintln!("[stepper_check] HIERARCHICAL FABRIC DIVERGENCE\n{msg}");
-                std::process::exit(1);
-            }
+        Mode::Partitions(n) => {
+            return emit_gate(partitioned_gate(0x57E9, n), "PARTITIONED STEPPER DIVERGENCE");
         }
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--partitions") {
-        let n: usize = args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-            .expect("--partitions takes a positive integer");
-        match partitioned_gate(0x57E9, n) {
-            Ok(report) => println!("{report}"),
-            Err(msg) => {
-                eprintln!("[stepper_check] PARTITIONED STEPPER DIVERGENCE\n{msg}");
-                std::process::exit(1);
-            }
-        }
-        return;
     }
 
     let cmp = stall_heavy_comparison(0x57E9);

@@ -10,7 +10,7 @@
 //!   scoped threads. A batch of jobs returns its results **in submission
 //!   order, bit-identical regardless of worker count or completion
 //!   order**; a panicking job becomes a typed [`pool::JobError`] without
-//!   poisoning the pool, and every job carries wall-clock and retry
+//!   poisoning the pool, and every job carries wall-clock and placement
 //!   accounting.
 //! - [`crew`]: a long-lived worker gang for *one* job stepped in many
 //!   synchronized rounds — the execution substrate of the soc crate's

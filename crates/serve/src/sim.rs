@@ -108,8 +108,6 @@ pub struct ServeConfig {
     pub dense: bool,
     /// Spatial partitions (`> 1` selects the parallel stepper).
     pub partitions: usize,
-    /// Enable the compiled core fast path.
-    pub fast_path: bool,
     /// Hierarchical fabric: group tiles into crossbar clusters with a
     /// banked L2 (`None` keeps the flat mesh).
     pub cluster: Option<maple_soc::ClusterConfig>,
@@ -134,7 +132,6 @@ impl ServeConfig {
             kill_engine: None,
             dense: false,
             partitions: 1,
-            fast_path: false,
             cluster: None,
             trace: None,
         }
@@ -168,7 +165,6 @@ impl ServeConfig {
             kill_engine: None,
             dense: false,
             partitions: 1,
-            fast_path: false,
             cluster: None,
             trace: None,
         }
@@ -186,8 +182,7 @@ impl ServeConfig {
     pub fn soc_config(&self) -> SocConfig {
         let mut cfg = SocConfig::fpga_prototype()
             .with_cores(2 * self.lanes())
-            .with_maples(self.maples)
-            .with_fast_path(self.fast_path);
+            .with_maples(self.maples);
         if let Some(shape) = self.cluster {
             cfg = cfg.with_clusters(shape);
         }
@@ -837,22 +832,19 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_and_fast_path_sessions_match_skipping() {
+    fn partitioned_sessions_match_skipping() {
         let base = serve(ServeConfig::quick(21)).1;
         let mut part = ServeConfig::quick(21);
         part.partitions = 4;
-        let mut fast = ServeConfig::quick(21);
-        fast.fast_path = true;
-        for other in [serve(part).1, serve(fast).1] {
-            assert!(other.verified);
-            // Same arrivals and same simulated machine semantics: the
-            // latency digests must agree bit-for-bit.
-            assert_eq!(other.sim_cycles, base.sim_cycles);
-            assert_eq!(other.p50, base.p50);
-            assert_eq!(other.p99, base.p99);
-            assert_eq!(other.max, base.max);
-            assert_eq!(other.context_switches, base.context_switches);
-        }
+        let other = serve(part).1;
+        assert!(other.verified);
+        // Same arrivals and same simulated machine semantics: the
+        // latency digests must agree bit-for-bit.
+        assert_eq!(other.sim_cycles, base.sim_cycles);
+        assert_eq!(other.p50, base.p50);
+        assert_eq!(other.p99, base.p99);
+        assert_eq!(other.max, base.max);
+        assert_eq!(other.context_switches, base.context_switches);
     }
 
     #[test]

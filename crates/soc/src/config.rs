@@ -360,17 +360,6 @@ impl SocConfig {
         self
     }
 
-    /// Enables the cores' compiled fast-path: straight-line compute runs
-    /// execute in one tick with bulk cycle accounting
-    /// (`maple_isa::fastpath`, DESIGN.md §12). Bit-exact with the
-    /// interpreter on every stepper (enforced by the fast-path
-    /// differential grid) — only host throughput changes.
-    #[must_use]
-    pub fn with_fast_path(mut self, enabled: bool) -> Self {
-        self.cpu.fast_path = enabled;
-        self
-    }
-
     /// Pins the partitioned stepper's worker-thread count instead of
     /// deferring to `MAPLE_JOBS` / host parallelism. Worker count never
     /// affects simulated results (bit-exact by contract); this exists so
@@ -400,10 +389,7 @@ impl SocConfig {
     /// `partition_workers`** for the same reason: all steppers — dense,
     /// event-horizon skipping and partitioned-parallel — are bit-exact by
     /// contract (asserted by the stepper differential suites), so they
-    /// share a cache entry. **Excludes `cpu.fast_path`** likewise: the
-    /// compiled fast-path is bit-exact with the interpreter (asserted by
-    /// the fast-path differential grid), so toggling it must not move the
-    /// cache key.
+    /// share a cache entry.
     pub fn digest_into(&self, d: &mut maple_fleet::Digest) {
         d.u64(u64::from(self.mesh_width))
             .u64(u64::from(self.mesh_height))
@@ -700,12 +686,6 @@ mod tests {
         );
         let dense = base.clone().with_dense_stepper();
         assert_eq!(key(&base), key(&dense), "steppers share cache keys");
-        let fast = base.clone().with_fast_path(true);
-        assert_eq!(
-            key(&base),
-            key(&fast),
-            "the compiled fast-path is bit-exact, so it shares cache keys"
-        );
     }
 
     #[test]

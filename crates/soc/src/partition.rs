@@ -92,13 +92,6 @@ pub(crate) struct Inbox {
     pub engine_msgs: BoundaryChannel<(usize, EngineMsg)>,
     /// Hub decisions, in hub execution order.
     pub commands: Vec<Command>,
-    /// Fast-path fence: the earliest future cycle at which the hub could
-    /// inject a command into this partition (next scheduled chaos event
-    /// or fault-service deadline). Core compute runs must not batch an
-    /// instruction that would issue at or past it. Recomputed by the hub
-    /// every phase 1; `None` when no boundary is pending (or the
-    /// fast-path is off).
-    pub fence: Option<Cycle>,
 }
 
 /// Everything a partition hands back to the hub after one cycle.
@@ -368,7 +361,7 @@ pub(crate) fn phase2(p: &mut Partition, now: Cycle, mem: &PhysMem) {
             Some(k) => Some(&mut p.desc_queues[k]),
             None => None,
         };
-        p.cores[i].tick(now, mem, &mut p.out.stages[i], dq, p.inbox.fence);
+        p.cores[i].tick(now, mem, &mut p.out.stages[i], dq);
         if p.cores[i].state() == CoreState::Faulted && !p.faults_in_service[i] {
             p.faults_in_service[i] = true;
             let vaddr = p.cores[i].fault().expect("Faulted implies a fault").vaddr;

@@ -923,30 +923,6 @@ impl System {
 
         // 1c. Inject scheduled chaos events and scan the MMIO watchdog.
         self.chaos_stage(now, mem, plan, inboxes);
-
-        // 1d. Publish the fast-path fence: the earliest cycle strictly
-        //     after `now` at which this hub could inject a command into
-        //     any partition — the next scheduled chaos event (reset,
-        //     shootdown, watchdog deadline) or the next fault-service
-        //     completion. Core compute runs split here so chaos replay
-        //     stays bit-exact by construction, not by the (true but
-        //     non-local) argument that today's commands cannot touch a
-        //     Running core's registers. Computed identically by all
-        //     three steppers since they share this phase function.
-        let fence = if self.cfg.cpu.fast_path {
-            let next = now.plus(1);
-            let mut h = maple_sim::Horizon::IDLE;
-            if let Some(chaos) = &self.chaos {
-                h.observe(chaos.next_event(next));
-            }
-            h.observe(self.fault_service.next_deadline().map(|d| d.max(next)));
-            h.earliest()
-        } else {
-            None
-        };
-        for inbox in inboxes.iter_mut() {
-            inbox.fence = fence;
-        }
     }
 
     /// Phase 3 of one simulated cycle (hub-post): apply every partition's
@@ -1783,11 +1759,6 @@ impl System {
             for (label, cycles) in st.stall.buckets() {
                 m.counter(format!("{p}/stall/{label}"), cycles);
             }
-            m.counter(format!("{p}/dispatch/fast_path_runs"), st.fast_path_runs.get());
-            m.counter(
-                format!("{p}/dispatch/fast_path_insts"),
-                st.fast_path_insts.get(),
-            );
             m.counter(
                 format!("{p}/dispatch/interpreted_ticks"),
                 st.interpreted_ticks.get(),

@@ -56,17 +56,16 @@ fn partitioned_equals_single_threaded_on_random_meshes() {
             gen::u64_any(),       // data seed
             gen::bools(),         // chaos on/off
             gen::u64_any(),       // chaos seed
-            gen::bools(),         // compiled fast path on/off
         ),
     );
     let cfg = Config::new("partitioned_equals_single_threaded_on_random_meshes").with_cases(12);
-    check(&cfg, &inputs, |&((threads, maples, parts, workers), (rows, data_seed, chaos, chaos_seed, fast))| {
+    check(&cfg, &inputs, |&((threads, maples, parts, workers), (rows, data_seed, chaos, chaos_seed))| {
         let a = uniform_sparse(rows, 2 * 1024, 5, data_seed);
         let x = dense_vector(2 * 1024, data_seed ^ 0x51);
         let inst = Spmv { a, x };
         let plane = chaos.then(|| random_plane(chaos_seed));
         let tune = |c: SocConfig| {
-            let c = c.with_maples(maples).with_fast_path(fast);
+            let c = c.with_maples(maples);
             match plane.clone() {
                 Some(p) => c.with_fault_plane(p),
                 None => c,
@@ -80,78 +79,16 @@ fn partitioned_equals_single_threaded_on_random_meshes() {
             part_stats,
             seq_stats,
             "threads={threads} maples={maples} partitions={parts} workers={workers} \
-             chaos={chaos} fast={fast}: partitioned stats diverged"
+             chaos={chaos}: partitioned stats diverged"
         );
         maple_testkit::tk_assert_eq!(
             part_sys.metrics_snapshot().to_json().render(),
             seq_sys.metrics_snapshot().to_json().render(),
             "threads={threads} maples={maples} partitions={parts} workers={workers} \
-             chaos={chaos} fast={fast}: metrics JSON diverged"
+             chaos={chaos}: metrics JSON diverged"
         );
         Ok(())
     });
-}
-
-#[test]
-fn fast_path_equals_interpreter_on_random_meshes() {
-    // The cross-mode property: the compiled fast path (batched micro-op
-    // runs) on a random partitioned mesh, with or without chaos, must
-    // reproduce the per-instruction interpreter under the plain skipping
-    // stepper — run stats and the metrics snapshot with the
-    // mode-dependent `/dispatch/` counters stripped.
-    let inputs = (
-        (
-            gen::choice(vec![2usize, 4]), // threads (decoupling runs in pairs)
-            gen::usize_in(1..3),          // MAPLE engines
-            gen::usize_in(1..6),          // partitions
-        ),
-        (
-            gen::usize_in(8..24), // rows
-            gen::u64_any(),       // data seed
-            gen::bools(),         // chaos on/off
-            gen::u64_any(),       // chaos seed
-        ),
-    );
-    let cfg = Config::new("fast_path_equals_interpreter_on_random_meshes").with_cases(12);
-    check(
-        &cfg,
-        &inputs,
-        |&((threads, maples, parts), (rows, data_seed, chaos, chaos_seed))| {
-            let a = uniform_sparse(rows, 2 * 1024, 5, data_seed);
-            let x = dense_vector(2 * 1024, data_seed ^ 0x51);
-            let inst = Spmv { a, x };
-            let plane = chaos.then(|| random_plane(chaos_seed));
-            let tune = |c: SocConfig| {
-                let c = c.with_maples(maples);
-                match plane.clone() {
-                    Some(p) => c.with_fault_plane(p),
-                    None => c,
-                }
-            };
-            let (fast_stats, fast_sys) = inst.run_observed(Variant::MapleDecoupled, threads, |c| {
-                tune(c).with_fast_path(true).with_partitions(parts)
-            });
-            let (ref_stats, ref_sys) = inst.run_observed(Variant::MapleDecoupled, threads, tune);
-            let stripped = |sys: &System| {
-                let mut snap = sys.metrics_snapshot();
-                snap.retain(|name| !name.contains("/dispatch/"));
-                snap.to_json().render()
-            };
-            maple_testkit::tk_assert_eq!(
-                fast_stats,
-                ref_stats,
-                "threads={threads} maples={maples} partitions={parts} chaos={chaos}: \
-                 fast-path stats diverged from the interpreter"
-            );
-            maple_testkit::tk_assert_eq!(
-                stripped(&fast_sys),
-                stripped(&ref_sys),
-                "threads={threads} maples={maples} partitions={parts} chaos={chaos}: \
-                 fast-path metrics JSON diverged from the interpreter"
-            );
-            Ok(())
-        },
-    );
 }
 
 #[test]

@@ -74,26 +74,9 @@ fi
 grep -q "partitioned ok: bit-exact" target/partitioned_gate_jobs1.txt
 echo "    $(tail -n 1 target/partitioned_gate_jobs1.txt), identical at 1 and 4 workers"
 
-echo "==> stepper: compiled fast path must be bit-exact with the interpreter"
-# The fast-path gate crosses dispatch modes (batched micro-op runs vs
-# per-instruction interpretation) against steppers, a 4-way partitioned
-# run and the recoverable chaos schedules, then proves the path engages
-# on a compute-heavy kernel. Host-independent lines only, so the output
-# must be byte-identical at 1 and 4 workers.
-MAPLE_JOBS=1 cargo run --offline --release -q -p maple-bench --bin stepper_check \
-    -- --fast-path > target/fast_path_gate_jobs1.txt
-MAPLE_JOBS=4 cargo run --offline --release -q -p maple-bench --bin stepper_check \
-    -- --fast-path > target/fast_path_gate_jobs4.txt
-if ! diff target/fast_path_gate_jobs1.txt target/fast_path_gate_jobs4.txt; then
-    echo "ERROR: fast-path gate output differs between MAPLE_JOBS=1 and =4" >&2
-    exit 1
-fi
-grep -q "fast-path ok: bit-exact" target/fast_path_gate_jobs1.txt
-echo "    $(tail -n 1 target/fast_path_gate_jobs1.txt), identical at 1 and 4 workers"
-
 echo "==> serving: multi-tenant oracle grid must be bit-exact at any worker count"
 # The serving gate runs the multi-tenant differential oracle over every
-# stepper × fast-path × chaos cell plus the engine-kill ladder cell,
+# stepper × chaos cell plus the engine-kill ladder cell,
 # printing only host-independent lines (percentiles, fairness, switch
 # counters, a metrics digest). Byte-diffing across MAPLE_JOBS values
 # proves tenant isolation holds regardless of fleet parallelism.
