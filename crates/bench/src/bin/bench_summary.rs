@@ -3,15 +3,16 @@
 //! Writes `BENCH_maple.json` at the repository root: per-figure geomean
 //! speedups (Figures 8, 9, 12), the mean load latency view (Figure 11),
 //! the consume round trip (Figure 14), and the harness accounting (jobs,
-//! total sweep wall-clock, fleet-cache traffic). All measurement content
-//! comes from the same content-addressed cache the `fig*` binaries use;
-//! only the `harness` section varies run to run. Diff the JSON against a
-//! previous checkout to spot regressions.
+//! total sweep wall-clock). The Figure 8, 9 and 12 rows come from one
+//! simulated batch of their deduplicated matrices (Figure 12 shares its
+//! do-all and MAPLE-decoupling cases with Figure 8); only the `harness`
+//! section varies run to run. Diff the JSON against a previous checkout
+//! to spot regressions.
 
 use std::fs;
 use std::path::PathBuf;
 
-use maple_bench::experiments::{decoupling_suite, prefetch_suite, prior_work_suite, FleetLine};
+use maple_bench::experiments::summary_sweep;
 use maple_bench::rtt::measure_roundtrip;
 use maple_bench::scaling::{scaling_sweep, SCALE_TILES};
 use maple_bench::stepper::{partitioned_sweep, stall_heavy_comparison};
@@ -67,13 +68,7 @@ fn rewrite_readme_table(readme: &PathBuf, doc: &maple_trace::Json) {
 
 fn main() {
     let t0 = std::time::Instant::now();
-    let fig08 = decoupling_suite();
-    let fig09 = prefetch_suite();
-    let fig12 = prior_work_suite();
-    let mut totals = FleetLine::default();
-    totals.absorb(&fig08.fleet);
-    totals.absorb(&fig09.fleet);
-    totals.absorb(&fig12.fleet);
+    let figures = summary_sweep();
 
     eprintln!("[bench_summary] measuring consume round trip...");
     let rtt = measure_roundtrip(SocConfig::fpga_prototype());
@@ -148,15 +143,13 @@ fn main() {
     eprintln!("{}", serve_metrics.render_table());
 
     let harness = HarnessLine {
-        jobs: totals.jobs,
+        jobs: figures.fleet.jobs,
         wall_seconds: t0.elapsed().as_secs_f64(),
-        cache_hits: totals.cache_hits,
-        cache_misses: totals.cache_misses,
     };
     let doc = build_json(
-        &fig08.rows,
-        &fig09.rows,
-        &fig12.rows,
+        &figures.fig08,
+        &figures.fig09,
+        &figures.fig12,
         rtt.mean_rtt,
         &harness,
         Some(&stepper),
@@ -172,13 +165,10 @@ fn main() {
     readme.push("../../README.md");
     rewrite_readme_table(&readme, &doc);
     eprintln!(
-        "[bench_summary] sweep {} (total wall {:.2}s)",
-        totals.render(),
+        "[bench_summary] figure sweep {} (total wall {:.2}s)",
+        figures.fleet.render(),
         harness.wall_seconds
     );
-    let mut metrics = maple_trace::MetricsSnapshot::new();
-    totals.to_metrics("fleet", &mut metrics);
-    eprintln!("{}", metrics.render_table());
     println!("wrote {}", path.display());
     println!("{}", doc.render_pretty());
 }

@@ -2,29 +2,20 @@
 //!
 //! Suites run the workload/variant matrices of Section 5 through the
 //! `maple-fleet` runtime: independent cases are dispatched as one
-//! work-stealing batch (worker count from `MAPLE_JOBS`), and every
-//! measurement is stored in a content-addressed cache under
-//! `target/fleet-cache`. The cache key digests the *full* case
-//! descriptor — workload, dataset, variant, thread count, every
-//! `SocConfig` timing parameter, the fault schedule and a schema
-//! version — so editing a configuration invalidates exactly the affected
-//! rows; there is nothing to delete manually.
+//! work-stealing batch (worker count from `MAPLE_JOBS`). Nothing is kept
+//! between runs: every suite simulates every case, so each row is a
+//! function of the current tree. `fig10` and `fig11` therefore
+//! re-simulate the Figure 9 suite; `bench_summary` runs the Figure 8, 9
+//! and 12 matrices as one deduplicated batch ([`summary_sweep`]).
 
-use maple_fleet::{Digest, FleetConfig, ResultCache};
-use maple_soc::config::SocConfig;
-use maple_trace::{MetricsSnapshot, StallBreakdown, StallRow};
-use maple_workloads::harness::config_for;
+use maple_fleet::FleetConfig;
+use maple_trace::{StallBreakdown, StallRow};
 use maple_workloads::{RunStats, Variant};
 
 use crate::instances;
 
-/// Version of the cache-entry descriptor/payload. Bump on any change to
-/// [`Measurement`]'s TSV layout or to what the key digests — every old
-/// entry then misses and is recomputed.
-pub const CACHE_SCHEMA: u64 = 1;
-
 /// One measured (app, dataset, variant) cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
     /// Application name.
     pub app: String,
@@ -40,12 +31,10 @@ pub struct Measurement {
     pub load_latency: f64,
     /// Result matched the host reference.
     pub verified: bool,
-    /// Total core cycles backing the stall attribution; `None` for rows
-    /// parsed from a truncated legacy line.
-    pub core_cycles: Option<u64>,
-    /// Aggregate stall attribution across cores; `None` for rows parsed
-    /// from a truncated legacy line.
-    pub stall: Option<StallBreakdown>,
+    /// Total core cycles backing the stall attribution.
+    pub core_cycles: u64,
+    /// Aggregate stall attribution across cores.
+    pub stall: StallBreakdown,
 }
 
 impl Measurement {
@@ -58,70 +47,9 @@ impl Measurement {
             loads: s.loads,
             load_latency: s.mean_load_latency,
             verified: s.verified,
-            core_cycles: Some(s.core_cycles),
-            stall: Some(s.stall),
+            core_cycles: s.core_cycles,
+            stall: s.stall,
         }
-    }
-
-    /// Serializes to one cache-entry line.
-    #[must_use]
-    pub fn to_tsv(&self) -> String {
-        let mut line = format!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}",
-            self.app,
-            self.dataset,
-            self.variant,
-            self.cycles,
-            self.loads,
-            self.load_latency,
-            self.verified
-        );
-        if let (Some(cc), Some(st)) = (self.core_cycles, self.stall) {
-            line.push_str(&format!("\t{cc}"));
-            for (_, v) in st.buckets() {
-                line.push_str(&format!("\t{v}"));
-            }
-        }
-        line
-    }
-
-    /// Parses a cache-entry line. Lenient on width: the original 7-field
-    /// format (before stall attribution existed) still parses, with the
-    /// stall columns reported as `None`.
-    #[must_use]
-    pub fn from_tsv(line: &str) -> Option<Self> {
-        let f: Vec<&str> = line.split('\t').collect();
-        if f.len() != 7 && f.len() != 14 {
-            return None;
-        }
-        let (core_cycles, stall) = if f.len() == 14 {
-            let vals: Vec<u64> = f[7..14]
-                .iter()
-                .map(|s| s.parse().ok())
-                .collect::<Option<_>>()?;
-            let st = StallBreakdown {
-                l1_miss: vals[1],
-                l2_miss: vals[2],
-                dram: vals[3],
-                consume_wait: vals[4],
-                mmio: vals[5],
-                fault_recovery: vals[6],
-            };
-            (Some(vals[0]), Some(st))
-        } else {
-            (None, None)
-        };
-        Some(Measurement {
-            app: f[0].into(),
-            dataset: f[1].into(),
-            variant: f[2].into(),
-            cycles: f[3].parse().ok()?,
-            loads: f[4].parse().ok()?,
-            load_latency: f[5].parse().ok()?,
-            verified: f[6].parse().ok()?,
-            core_cycles,
-            stall,
-        })
     }
 
     /// Lookup key.
@@ -132,7 +60,7 @@ impl Measurement {
 }
 
 /// One case of a suite matrix.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CaseSpec {
     /// Application name.
     pub app: String,
@@ -144,64 +72,21 @@ pub struct CaseSpec {
     pub threads: usize,
 }
 
-/// Content key of one case under `config`: the full descriptor, digested.
-#[must_use]
-pub fn case_key(spec: &CaseSpec, config: &SocConfig) -> u64 {
-    let mut d = Digest::new(CACHE_SCHEMA);
-    d.str(&spec.app)
-        .str(&spec.dataset)
-        .str(spec.variant.label());
-    // The label does not distinguish prefetch distances; the descriptor
-    // must.
-    let dist = match spec.variant {
-        Variant::SwPrefetch { dist } => u64::from(dist),
-        _ => 0,
-    };
-    d.u64(dist).usize(spec.threads);
-    config.digest_into(&mut d);
-    d.finish()
-}
-
-/// Execution accounting of one suite: the `jobs=N, wall=…s, cache
-/// hits/misses` line every figure binary prints, and the JSON/metrics
-/// form of the same numbers.
-#[derive(Debug, Clone, Default)]
+/// Execution accounting of one suite: the `jobs=N, wall=…s` line every
+/// figure binary prints, and the JSON form of the same numbers.
+#[derive(Debug, Clone)]
 pub struct FleetLine {
     /// Worker threads the batch ran with.
     pub jobs: usize,
-    /// Suite wall-clock (cache probing + batch execution), seconds.
+    /// Suite wall-clock, seconds.
     pub wall_seconds: f64,
-    /// Cases served from the content-addressed cache.
-    pub cache_hits: usize,
-    /// Cases that had to be simulated.
-    pub cache_misses: usize,
 }
 
 impl FleetLine {
     /// The one-line text rendering.
     #[must_use]
     pub fn render(&self) -> String {
-        format!(
-            "jobs={}, wall={:.2}s, cache {} hits / {} misses",
-            self.jobs, self.wall_seconds, self.cache_hits, self.cache_misses
-        )
-    }
-
-    /// Surfaces the accounting through the standard metrics machinery.
-    pub fn to_metrics(&self, prefix: &str, m: &mut MetricsSnapshot) {
-        m.counter(format!("{prefix}/jobs"), self.jobs as u64);
-        m.gauge(format!("{prefix}/wall_seconds"), self.wall_seconds);
-        m.counter(format!("{prefix}/cache_hits"), self.cache_hits as u64);
-        m.counter(format!("{prefix}/cache_misses"), self.cache_misses as u64);
-    }
-
-    /// Merges another suite's accounting into this one (for the
-    /// whole-sweep totals in `BENCH_maple.json`).
-    pub fn absorb(&mut self, other: &FleetLine) {
-        self.jobs = self.jobs.max(other.jobs);
-        self.wall_seconds += other.wall_seconds;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
+        format!("jobs={}, wall={:.2}s", self.jobs, self.wall_seconds)
     }
 }
 
@@ -211,117 +96,76 @@ impl FleetLine {
 pub struct SuiteRun {
     /// Measurements, in the order the cases were specified.
     pub rows: Vec<Measurement>,
-    /// Fleet/cache accounting for the suite.
+    /// Fleet accounting for the suite.
     pub fleet: FleetLine,
 }
 
-/// Runs a suite of cases through the fleet pool and the
-/// content-addressed cache.
+/// Runs a suite of cases as one fleet batch.
 ///
-/// `config_of` builds the `SocConfig` a case runs under (its digest is
-/// part of the case's cache key); `run` executes one case. Cached cases
-/// are served without simulating; the misses are dispatched as one
-/// fleet batch and their results stored. Rows come back in case order —
-/// bit-identical at every worker count.
+/// `run` executes one case. Rows come back in case order — bit-identical
+/// at every worker count.
 ///
 /// # Panics
 ///
-/// Panics when a case fails verification, when a job panics, or when a
-/// cache entry cannot be written.
+/// Panics when a case fails verification or when a job panics.
 pub fn suite_with(
-    cache: &ResultCache,
     pool: &FleetConfig,
     name: &str,
     cases: &[CaseSpec],
-    config_of: impl Fn(&CaseSpec) -> SocConfig,
     run: impl Fn(&CaseSpec) -> RunStats + Sync,
 ) -> SuiteRun {
     let t0 = std::time::Instant::now();
-    let keys: Vec<u64> = cases.iter().map(|c| case_key(c, &config_of(c))).collect();
-    let mut rows: Vec<Option<Measurement>> = keys
+    eprintln!(
+        "[{name}] simulating {} cases on {} workers...",
+        cases.len(),
+        pool.workers
+    );
+    let run = &run;
+    let jobs: Vec<_> = cases.iter().map(|spec| move || run(spec)).collect();
+    let stats = maple_fleet::run_batch(pool, jobs)
+        .into_results()
+        .unwrap_or_else(|(j, e)| {
+            let spec = &cases[j];
+            panic!(
+                "[{name}] {}/{}/{} t={}: {e}",
+                spec.app,
+                spec.dataset,
+                spec.variant.label(),
+                spec.threads
+            )
+        });
+    let rows = cases
         .iter()
-        .map(|&k| {
-            cache
-                .get(k)
-                .and_then(|text| Measurement::from_tsv(text.trim_end()))
-        })
-        .collect();
-    let miss_idx: Vec<usize> = (0..cases.len()).filter(|&i| rows[i].is_none()).collect();
-    let hits = cases.len() - miss_idx.len();
-    if !miss_idx.is_empty() {
-        eprintln!(
-            "[{name}] {} cached, simulating {} cases on {} workers...",
-            hits,
-            miss_idx.len(),
-            pool.workers
-        );
-        let run = &run;
-        let jobs: Vec<_> = miss_idx
-            .iter()
-            .map(|&i| {
-                let spec = &cases[i];
-                move || run(spec)
-            })
-            .collect();
-        let fresh = maple_fleet::run_batch(pool, jobs)
-            .into_results()
-            .unwrap_or_else(|(j, e)| {
-                let spec = &cases[miss_idx[j]];
-                panic!(
-                    "[{name}] {}/{}/{} t={}: {e}",
-                    spec.app,
-                    spec.dataset,
-                    spec.variant.label(),
-                    spec.threads
-                )
-            });
-        for (&i, stats) in miss_idx.iter().zip(&fresh) {
-            let spec = &cases[i];
+        .zip(&stats)
+        .map(|(spec, s)| {
             assert!(
-                stats.verified,
+                s.verified,
                 "{}/{}/{} failed verification",
                 spec.app,
                 spec.dataset,
                 spec.variant.label()
             );
-            let m =
-                Measurement::from_stats(&spec.app, &spec.dataset, spec.variant.label(), stats);
-            cache
-                .put(keys[i], &m.to_tsv())
-                .unwrap_or_else(|e| panic!("[{name}] cache write failed: {e}"));
-            rows[i] = Some(m);
-        }
-    }
+            Measurement::from_stats(&spec.app, &spec.dataset, spec.variant.label(), s)
+        })
+        .collect();
     let fleet = FleetLine {
         jobs: pool.workers,
         wall_seconds: t0.elapsed().as_secs_f64(),
-        cache_hits: hits,
-        cache_misses: miss_idx.len(),
     };
     eprintln!("[{name}] {}", fleet.render());
-    SuiteRun {
-        rows: rows.into_iter().map(|r| r.expect("every case resolved")).collect(),
-        fleet,
-    }
+    SuiteRun { rows, fleet }
 }
 
-/// [`suite_with`] under the workspace-default cache and `MAPLE_JOBS`
-/// worker count, running real workload cases.
-fn suite(name: &str, cases: Vec<CaseSpec>) -> SuiteRun {
-    let cache = ResultCache::open_default().expect("open fleet cache");
-    suite_with(
-        &cache,
-        &FleetConfig::from_env(),
-        name,
-        &cases,
-        |c| config_for(c.variant, c.threads),
-        |c| run_case(&c.app, &c.dataset, c.variant, c.threads),
-    )
+/// [`suite_with`] under the `MAPLE_JOBS` worker count, running real
+/// workload cases.
+fn suite(name: &str, cases: &[CaseSpec]) -> SuiteRun {
+    suite_with(&FleetConfig::from_env(), name, cases, run_case)
 }
 
 /// Dispatches one case to the right workload.
-fn run_case(app: &str, ds: &str, variant: Variant, threads: usize) -> RunStats {
-    match app {
+fn run_case(spec: &CaseSpec) -> RunStats {
+    let (ds, variant, threads) = (spec.dataset.as_str(), spec.variant, spec.threads);
+    match spec.app.as_str() {
         "sdhp" => {
             let inst = instances::sdhp()
                 .into_iter()
@@ -377,9 +221,9 @@ pub fn app_datasets() -> Vec<(String, String)> {
     v
 }
 
-fn matrix(variants: &[(Variant, usize)]) -> Vec<CaseSpec> {
+fn matrix(pairs: &[(String, String)], variants: &[(Variant, usize)]) -> Vec<CaseSpec> {
     let mut cases = Vec::new();
-    for (app, ds) in app_datasets() {
+    for (app, ds) in pairs {
         for &(variant, threads) in variants {
             cases.push(CaseSpec {
                 app: app.clone(),
@@ -392,75 +236,129 @@ fn matrix(variants: &[(Variant, usize)]) -> Vec<CaseSpec> {
     cases
 }
 
-/// Figure 8 suite: 2-thread do-all, software decoupling, MAPLE
-/// decoupling.
+/// Figure 8 variants.
+const DECOUPLING: [(Variant, usize); 3] = [
+    (Variant::Doall, 2),
+    (Variant::SwDecoupled, 2),
+    (Variant::MapleDecoupled, 2),
+];
+
+/// Figures 9–11 variants.
+const PREFETCH: [(Variant, usize); 3] = [
+    (Variant::Doall, 1),
+    (Variant::SwPrefetch { dist: 16 }, 1),
+    (Variant::MapleLima, 1),
+];
+
+/// Figure 12 variants.
+const PRIOR_WORK: [(Variant, usize); 4] = [
+    (Variant::Doall, 2),
+    (Variant::MapleDecoupled, 2),
+    (Variant::Desc, 2),
+    (Variant::Droplet, 2),
+];
+
+/// Figure 8 suite: every dataset under 2-thread do-all, software
+/// decoupling and MAPLE decoupling.
 #[must_use]
 pub fn decoupling_suite() -> SuiteRun {
-    suite(
-        "fig08",
-        matrix(&[
-            (Variant::Doall, 2),
-            (Variant::SwDecoupled, 2),
-            (Variant::MapleDecoupled, 2),
-        ]),
-    )
+    suite("fig08", &matrix(&app_datasets(), &DECOUPLING))
 }
 
-/// Figures 9–11 suite: single-thread no-prefetch, software prefetching,
-/// MAPLE LIMA.
+/// Figures 9–11 suite: every dataset under single-thread no-prefetch,
+/// software prefetching and MAPLE LIMA.
 #[must_use]
 pub fn prefetch_suite() -> SuiteRun {
-    suite(
-        "fig09",
-        matrix(&[
-            (Variant::Doall, 1),
-            (Variant::SwPrefetch { dist: 16 }, 1),
-            (Variant::MapleLima, 1),
-        ]),
-    )
+    suite("fig09", &matrix(&app_datasets(), &PREFETCH))
 }
 
-/// Figure 12 suite: 2-thread do-all, MAPLE decoupling, DeSC, DROPLET.
+/// Figure 12 suite: every dataset under 2-thread do-all, MAPLE
+/// decoupling, DeSC and DROPLET.
 #[must_use]
 pub fn prior_work_suite() -> SuiteRun {
-    suite(
-        "fig12",
-        matrix(&[
-            (Variant::Doall, 2),
-            (Variant::MapleDecoupled, 2),
-            (Variant::Desc, 2),
-            (Variant::Droplet, 2),
-        ]),
-    )
+    suite("fig12", &matrix(&app_datasets(), &PRIOR_WORK))
+}
+
+/// The case matrices of the Figure 8, 9 and 12 suites, in that order.
+#[must_use]
+pub fn figure_matrices() -> [Vec<CaseSpec>; 3] {
+    let pairs = app_datasets();
+    [DECOUPLING.as_slice(), &PREFETCH, &PRIOR_WORK].map(|variants| matrix(&pairs, variants))
+}
+
+/// The Figure 8, 9 and 12 rows of `BENCH_maple.json`, simulated as one
+/// batch.
+#[derive(Debug, Clone)]
+pub struct SummarySweep {
+    /// Figure 8 rows, in case order.
+    pub fig08: Vec<Measurement>,
+    /// Figure 9 rows, in case order.
+    pub fig09: Vec<Measurement>,
+    /// Figure 12 rows, in case order.
+    pub fig12: Vec<Measurement>,
+    /// Fleet accounting for the one batch.
+    pub fleet: FleetLine,
+}
+
+/// Runs the union of [`figure_matrices`] as one batch through `run`,
+/// each case once (Figure 12 shares its do-all and MAPLE decoupling
+/// cases with Figure 8), then takes each figure's rows from it.
+#[must_use]
+pub fn summary_sweep_with(
+    pool: &FleetConfig,
+    run: impl Fn(&CaseSpec) -> RunStats + Sync,
+) -> SummarySweep {
+    let matrices = figure_matrices();
+    let mut cases: Vec<CaseSpec> = Vec::new();
+    for spec in matrices.iter().flatten() {
+        if !cases.contains(spec) {
+            cases.push(spec.clone());
+        }
+    }
+    let all = suite_with(pool, "bench_summary", &cases, run);
+    let [fig08, fig09, fig12] = matrices.map(|figure| {
+        figure
+            .iter()
+            .map(|spec| {
+                let i = cases.iter().position(|c| c == spec).expect("case in sweep");
+                all.rows[i].clone()
+            })
+            .collect()
+    });
+    SummarySweep {
+        fig08,
+        fig09,
+        fig12,
+        fleet: all.fleet,
+    }
+}
+
+/// [`summary_sweep_with`] under the `MAPLE_JOBS` worker count, running
+/// real workload cases.
+#[must_use]
+pub fn summary_sweep() -> SummarySweep {
+    summary_sweep_with(&FleetConfig::from_env(), run_case)
 }
 
 /// Aggregates measurements into one stall-attribution row per variant
-/// (summed across every workload/dataset). Rows parsed from truncated
-/// legacy lines carry no breakdown and are skipped; if no row has one,
-/// the result is empty and callers print nothing.
+/// (summed across every workload/dataset).
 #[must_use]
 pub fn stall_rows_by_variant(rows: &[Measurement], variants: &[&str]) -> Vec<StallRow> {
-    let mut out = Vec::new();
-    for v in variants {
-        let mut cycles = 0u64;
-        let mut total = StallBreakdown::default();
-        let mut any = false;
-        for m in rows.iter().filter(|m| m.variant == *v) {
-            if let (Some(cc), Some(st)) = (m.core_cycles, m.stall) {
-                cycles += cc;
-                total.merge(&st);
-                any = true;
-            }
-        }
-        if any {
-            out.push(StallRow {
+    variants
+        .iter()
+        .map(|v| {
+            let mut row = StallRow {
                 label: (*v).to_owned(),
-                core_cycles: cycles,
-                breakdown: total,
-            });
-        }
-    }
-    out
+                core_cycles: 0,
+                breakdown: StallBreakdown::default(),
+            };
+            for m in rows.iter().filter(|m| m.variant == *v) {
+                row.core_cycles += m.core_cycles;
+                row.breakdown.merge(&m.stall);
+            }
+            row
+        })
+        .collect()
 }
 
 /// Finds a measurement.

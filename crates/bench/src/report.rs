@@ -172,8 +172,8 @@ pub struct FigureReport {
     pub lines: Vec<SummaryLine>,
     /// Stall-attribution rows (ours; not in the paper), when available.
     pub stalls: Vec<StallRow>,
-    /// Fleet execution accounting (`jobs=N, wall=…s, cache hits/misses`),
-    /// when the figure ran a suite.
+    /// Fleet execution accounting (`jobs=N, wall=…s`), when the figure
+    /// ran a suite.
     pub fleet: Option<FleetLine>,
 }
 
@@ -262,8 +262,6 @@ impl FigureReport {
                 Json::obj(vec![
                     ("jobs", Json::from(fleet.jobs as u64)),
                     ("wall_seconds", Json::from(fleet.wall_seconds)),
-                    ("cache_hits", Json::from(fleet.cache_hits as u64)),
-                    ("cache_misses", Json::from(fleet.cache_misses as u64)),
                 ]),
             ));
         }

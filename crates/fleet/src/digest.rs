@@ -1,7 +1,9 @@
 //! In-tree content digest: an FNV-1a accumulator with a splitmix64
 //! finalizer.
 //!
-//! Cache keys must be (a) a pure function of the full case descriptor and
+//! The gate binaries (`stepper_check`, `serve_check`, the scaling sweep)
+//! print a digest of each run's metrics so two runs can be byte-diffed on
+//! one line. Such a digest must be (a) a pure function of its fields and
 //! (b) stable across runs, platforms and worker counts — which rules out
 //! `std::hash` (`RandomState` is seeded per process) and any derive-based
 //! hashing of types we do not own. A [`Digest`] is fed explicit, typed
@@ -9,8 +11,8 @@
 //! adjacent fields can never alias (`("ab","c")` vs `("a","bc")`).
 //!
 //! FNV-1a mixes each byte cheaply; the splitmix64 finalizer scrambles the
-//! final state so that near-identical descriptors (e.g. a single timing
-//! parameter bumped by one) land far apart in key space.
+//! final state so that near-identical inputs (e.g. a single counter
+//! bumped by one) land far apart in key space.
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
@@ -43,8 +45,8 @@ pub struct Digest {
 }
 
 impl Digest {
-    /// Starts a digest under the given schema version. Bumping the schema
-    /// invalidates every key derived under the old one.
+    /// Starts a digest under the given schema tag; the same fields under
+    /// two tags digest differently.
     #[must_use]
     pub fn new(schema: u64) -> Self {
         let mut d = Digest { state: FNV_OFFSET };

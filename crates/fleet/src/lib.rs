@@ -17,19 +17,12 @@
 //!   partitioned parallel stepper. Rounds apply a pure function to
 //!   share-nothing slots, so results are bit-identical at any helper
 //!   count (including zero, the sequential reference).
-//! - [`digest`]: an in-tree FNV-1a/splitmix64 content digest used to form
-//!   cache keys from full case descriptors (workload, dataset, variant,
-//!   thread count, `SocConfig` timing parameters, fault schedule, schema
-//!   version).
-//! - [`cache`]: a content-addressed result cache on disk, rooted under
-//!   the workspace `target/` directory (honoring `CARGO_TARGET_DIR`), so
-//!   editing a configuration or timing table invalidates exactly the
-//!   affected entries instead of requiring a manual cache wipe. Entries
-//!   carry an integrity header: truncated or bit-rotted files are
-//!   evicted misses, never panics.
+//! - [`digest`]: an in-tree FNV-1a/splitmix64 content digest, stable
+//!   across runs and hosts, that the gate binaries print over each run's
+//!   metrics so two runs can be byte-diffed on one line.
 //!
 //! The crate is hermetic by design: std-only, zero dependencies (not even
-//! on other workspace crates — `maple-sim` itself builds on it).
+//! on other workspace crates).
 //!
 //! # Determinism contract
 //!
@@ -42,12 +35,10 @@
 
 #![deny(missing_docs)]
 
-pub mod cache;
 pub mod crew;
 pub mod digest;
 pub mod pool;
 
-pub use cache::ResultCache;
 pub use crew::{Conductor, Crew};
 pub use digest::Digest;
 pub use pool::{

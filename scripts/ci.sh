@@ -27,6 +27,12 @@ cargo build --offline --workspace --release
 echo "==> tier-1 gate: tests"
 cargo test --offline --workspace -q
 
+echo "==> perfbench: the benchmark's own tests"
+# perfbench is a separate Cargo workspace, so the tier-1 stage above never
+# builds it; its tests dev-depend on maple-bench and check that the
+# benchmark's workload shapes still match the figure harness.
+cargo test --offline --release -q --manifest-path perfbench/Cargo.toml
+
 echo "==> chaos: fixed-seed fault-injection grid + generated schedules"
 # The grid (named schedules x kernels) is fully fixed-seed; the property
 # test generates MAPLE_CHAOS_CASES random schedules on top (default 6 —
