@@ -90,11 +90,6 @@ impl DropletPrefetcher {
         self.watches.push(watch);
     }
 
-    /// Removes all watches.
-    pub fn clear_watches(&mut self) {
-        self.watches.clear();
-    }
-
     /// Observes a request arriving at the L2. Demand line fetches within a
     /// watched index range schedule a decode.
     pub fn observe(&mut self, now: Cycle, req: &MemReq) {
@@ -155,19 +150,6 @@ impl DropletPrefetcher {
     #[must_use]
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         self.pending.next_deadline().map(|d| d.max(now))
-    }
-}
-
-impl maple_sim::Clocked for DropletPrefetcher {
-    type Ctx<'a> = ();
-
-    /// No-op: the owning L2 tile drives the inherent [`DropletPrefetcher::tick`]
-    /// (which returns the prefetch requests to inject); this impl exists so
-    /// the prefetcher participates in the event-horizon computation.
-    fn tick(&mut self, _now: Cycle, (): ()) {}
-
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        DropletPrefetcher::next_event(self, now)
     }
 }
 

@@ -91,8 +91,8 @@ fn run_grid() {
             .iter()
             .map(|&(v, t)| move || run_grid_cell(kernel, v, t))
             .collect();
-        let rows = maple_fleet::run_batch(&FleetConfig::from_env(), jobs)
-            .into_results()
+        let results = maple_fleet::run_batch(&FleetConfig::from_env(), jobs);
+        let rows = maple_fleet::into_results(results)
             .unwrap_or_else(|(i, e)| panic!("{kernel}/{}: {e}", ORACLE_VARIANTS[i].0.label()));
         for (&(v, t), s) in ORACLE_VARIANTS.iter().zip(&rows) {
             emit(kernel, v.label(), t, s);

@@ -1,8 +1,8 @@
 //! Shared experiment execution for the figure binaries.
 //!
 //! Suites run the workload/variant matrices of Section 5 through the
-//! `maple-fleet` runtime: independent cases are dispatched as one
-//! work-stealing batch (worker count from `MAPLE_JOBS`). Nothing is kept
+//! `maple-fleet` runtime: independent cases are dispatched as one batch
+//! (worker count from `MAPLE_JOBS`). Nothing is kept
 //! between runs: every suite simulates every case, so each row is a
 //! function of the current tree. `fig10` and `fig11` therefore
 //! re-simulate the Figure 9 suite; `bench_summary` runs the Figure 8, 9
@@ -122,8 +122,8 @@ pub fn suite_with(
     );
     let run = &run;
     let jobs: Vec<_> = cases.iter().map(|spec| move || run(spec)).collect();
-    let stats = maple_fleet::run_batch(pool, jobs)
-        .into_results()
+    let results = maple_fleet::run_batch(pool, jobs);
+    let stats = maple_fleet::into_results(results)
         .unwrap_or_else(|(j, e)| {
             let spec = &cases[j];
             panic!(

@@ -97,8 +97,8 @@ pub fn serve_gate(seed: u64) -> Result<String, String> {
             move || differential_check(&cfg).map_err(|e| format!("{label}: {e}"))
         })
         .collect();
-    let grid = maple_fleet::run_batch(&FleetConfig::from_env(), jobs)
-        .into_results()
+    let results = maple_fleet::run_batch(&FleetConfig::from_env(), jobs);
+    let grid = maple_fleet::into_results(results)
         .map_err(|(i, e)| format!("{}: executor failed: {e}", cells[i].0))?;
     let mut out = String::from("serve gate\n");
     let mut d = Digest::new(0x5E12);

@@ -6,12 +6,11 @@
 //! crate is the shared runtime that executes such matrices across worker
 //! threads without giving up the workspace's bit-exact reproducibility:
 //!
-//! - [`pool`]: a work-stealing thread-pool executor over `std::thread`
-//!   scoped threads. A batch of jobs returns its results **in submission
-//!   order, bit-identical regardless of worker count or completion
-//!   order**; a panicking job becomes a typed [`pool::JobError`] without
-//!   poisoning the pool, and every job carries wall-clock and placement
-//!   accounting.
+//! - [`pool`]: a batch executor over `std::thread` scoped threads that
+//!   claim jobs from one shared cursor. A batch of jobs returns its
+//!   results **in submission order, bit-identical regardless of worker
+//!   count or completion order**; a panicking job becomes a typed
+//!   [`pool::JobError`] in its own slot without poisoning the pool.
 //! - [`crew`]: a long-lived worker gang for *one* job stepped in many
 //!   synchronized rounds — the execution substrate of the soc crate's
 //!   partitioned parallel stepper. Rounds apply a pure function to
@@ -41,6 +40,4 @@ pub mod pool;
 
 pub use crew::{Conductor, Crew};
 pub use digest::Digest;
-pub use pool::{
-    jobs_from_env, run_batch, Batch, BatchStats, FleetConfig, JobError, JobOutcome, JobStats,
-};
+pub use pool::{into_results, jobs_from_env, run_batch, FleetConfig, JobError};

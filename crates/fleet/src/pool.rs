@@ -1,11 +1,12 @@
-//! The work-stealing batch executor.
+//! The shared-cursor batch executor.
 //!
-//! A batch of independent jobs is distributed round-robin across
-//! per-worker deques; each worker pops from the front of its own deque
-//! and, when empty, steals from the back of a victim's. Results are
-//! written into per-job slots, so the returned vector is **always in
-//! submission order** no matter which worker finished which job when —
-//! the scheduling is nondeterministic, the collection is not.
+//! A batch of independent jobs is claimed one index at a time from a
+//! single atomic cursor over the job list: each worker takes the next
+//! unclaimed job until the list is exhausted, so a slow job never strands
+//! queued work behind it. Results are written into per-job slots, so the
+//! returned vector is **always in submission order** no matter which
+//! worker finished which job when — the scheduling is nondeterministic,
+//! the collection is not.
 //!
 //! Failure isolation: each job runs once under `catch_unwind`, so a
 //! panicking job becomes a typed [`JobError`] in its own slot while every
@@ -19,14 +20,10 @@
 //! itself fans out an oracle grid — cannot multiply worker threads.
 
 use std::cell::Cell;
-use std::collections::HashSet;
-use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, Once, OnceLock};
-use std::thread::ThreadId;
-use std::time::Instant;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, Once};
 
 /// Worker count from the environment: `MAPLE_JOBS` when set (must be a
 /// positive integer), otherwise the host's available parallelism.
@@ -90,95 +87,27 @@ impl fmt::Display for JobError {
     }
 }
 
-/// Per-job accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JobStats {
-    /// Wall-clock spent executing this job, in nanoseconds. Varies run
-    /// to run; never part of the deterministic result surface.
-    pub wall_nanos: u64,
-    /// Index of the worker that ran the job (scheduling detail, varies).
-    pub worker: usize,
-}
-
-/// One job's result and accounting, in submission order within
-/// [`Batch::outcomes`].
-#[derive(Debug)]
-pub struct JobOutcome<T> {
-    /// The job's return value, or the typed panic report.
-    pub result: Result<T, JobError>,
-    /// Wall-clock / placement accounting.
-    pub stats: JobStats,
-}
-
-/// Whole-batch accounting.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BatchStats {
-    /// Jobs submitted.
-    pub jobs: usize,
-    /// Workers actually used (after clamping to the job count and nested
-    /// collapse).
-    pub workers: usize,
-    /// Batch wall-clock, submission to collection, in nanoseconds.
-    pub wall_nanos: u64,
-    /// Jobs that panicked.
-    pub panics: u64,
-    /// Jobs executed by a worker other than the one they were assigned
-    /// to (work-stealing traffic; scheduling detail, varies).
-    pub steals: u64,
-}
-
-impl BatchStats {
-    /// Batch wall-clock in seconds.
-    #[must_use]
-    pub fn wall_seconds(&self) -> f64 {
-        self.wall_nanos as f64 / 1e9
-    }
-}
-
-/// The completed batch: per-job outcomes in submission order plus the
-/// aggregate accounting.
-#[derive(Debug)]
-pub struct Batch<T> {
-    /// One outcome per submitted job, submission order.
-    pub outcomes: Vec<JobOutcome<T>>,
-    /// Aggregate accounting.
-    pub stats: BatchStats,
-}
-
-impl<T> Batch<T> {
-    /// Unwraps every job's value, submission order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failed job's index and error.
-    pub fn into_results(self) -> Result<Vec<T>, (usize, JobError)> {
-        self.outcomes
-            .into_iter()
-            .enumerate()
-            .map(|(i, o)| o.result.map_err(|e| (i, e)))
-            .collect()
-    }
-}
-
 thread_local! {
     /// Set while the current thread is executing fleet jobs; nested
     /// batches observe it and run inline.
     static IN_FLEET_WORKER: Cell<bool> = const { Cell::new(false) };
+    /// Number of [`catch_quiet`] calls active on this thread; the panic
+    /// hook stays silent while it is nonzero.
+    static QUIET_DEPTH: Cell<u32> = const { Cell::new(0) };
 }
 
-/// Runs a batch of independent jobs and collects their results in
+/// Runs a batch of independent jobs and returns each job's result in
 /// submission order.
 ///
 /// Each job must be a pure function of its captured inputs for the
 /// batch-level determinism guarantee to hold (see the crate docs); the
 /// pool itself guarantees submission-order collection and panic
 /// isolation regardless.
-pub fn run_batch<T, F>(cfg: &FleetConfig, jobs: Vec<F>) -> Batch<T>
+pub fn run_batch<T, F>(cfg: &FleetConfig, jobs: Vec<F>) -> Vec<Result<T, JobError>>
 where
     T: Send,
     F: Fn() -> T + Send,
 {
-    let start = Instant::now();
     let n = jobs.len();
     let nested = IN_FLEET_WORKER.with(Cell::get);
     let workers = if nested {
@@ -187,108 +116,90 @@ where
         cfg.workers.max(1).min(n.max(1))
     };
 
-    let job_slots: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let result_slots: Vec<Mutex<Option<JobOutcome<T>>>> =
+    // Each index is claimed exactly once, so the job locks never contend;
+    // they only make the `Send` jobs shareable across the scoped workers.
+    let jobs: Vec<Mutex<F>> = jobs.into_iter().map(Mutex::new).collect();
+    let results: Vec<Mutex<Option<Result<T, JobError>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
-    // Round-robin assignment: job i starts on worker i % workers.
-    let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new((w..n).step_by(workers.max(1)).collect()))
-        .collect();
-    let panics = AtomicU64::new(0);
-    let steals = AtomicU64::new(0);
-
-    {
-        let worker_loop = |me: usize| {
-            let was_worker = IN_FLEET_WORKER.with(|f| f.replace(true));
-            while let Some((idx, stolen)) = claim(&deques, me) {
-                if stolen {
-                    steals.fetch_add(1, Ordering::Relaxed);
-                }
-                let job = job_slots[idx]
-                    .lock()
-                    .expect("job slot lock")
-                    .take()
-                    .expect("job claimed twice");
-                let outcome = run_one(&job, me, &panics);
-                *result_slots[idx].lock().expect("result slot lock") = Some(outcome);
-            }
-            IN_FLEET_WORKER.with(|f| f.set(was_worker));
-        };
-        if workers == 1 {
-            // Inline on the current thread: nested batches and
-            // single-worker runs share one code path.
-            worker_loop(0);
-        } else {
-            let worker_loop = &worker_loop;
-            std::thread::scope(|s| {
-                for w in 0..workers {
-                    s.spawn(move || worker_loop(w));
-                }
+    let cursor = AtomicUsize::new(0);
+    let worker_loop = || {
+        let was_worker = IN_FLEET_WORKER.with(|f| f.replace(true));
+        loop {
+            let idx = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = jobs.get(idx) else { break };
+            let job = job.lock().expect("job slot lock");
+            let result = catch_quiet(&*job).map_err(|payload| JobError {
+                message: panic_message(&*payload),
             });
+            *results[idx].lock().expect("result slot lock") = Some(result);
         }
+        IN_FLEET_WORKER.with(|f| f.set(was_worker));
+    };
+    if workers == 1 {
+        // Inline on the current thread: nested batches and single-worker
+        // runs share one code path.
+        worker_loop();
+    } else {
+        std::thread::scope(|s| {
+            for _ in 0..workers {
+                s.spawn(worker_loop);
+            }
+        });
     }
 
-    let outcomes: Vec<JobOutcome<T>> = result_slots
+    results
         .into_iter()
         .map(|slot| {
             slot.into_inner()
                 .expect("result slot lock")
-                .expect("every job produced an outcome")
+                .expect("every job produced a result")
         })
-        .collect();
-    Batch {
-        outcomes,
-        stats: BatchStats {
-            jobs: n,
-            workers,
-            wall_nanos: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            panics: panics.into_inner(),
-            steals: steals.into_inner(),
-        },
-    }
+        .collect()
 }
 
-/// Claims the next job index for worker `me`: own front first, then a
-/// steal from the back of the first non-empty victim. `None` when every
-/// deque is empty (batch drained — jobs never spawn jobs).
-fn claim(deques: &[Mutex<VecDeque<usize>>], me: usize) -> Option<(usize, bool)> {
-    if let Some(idx) = deques[me].lock().expect("own deque lock").pop_front() {
-        return Some((idx, false));
-    }
-    let w = deques.len();
-    for off in 1..w {
-        let victim = (me + off) % w;
-        if let Some(idx) = deques[victim].lock().expect("victim deque lock").pop_back() {
-            return Some((idx, true));
-        }
-    }
-    None
+/// Unwraps every job's value from a [`run_batch`] result, submission
+/// order.
+///
+/// # Errors
+///
+/// Returns the first failed job's index and error.
+pub fn into_results<T>(results: Vec<Result<T, JobError>>) -> Result<Vec<T>, (usize, JobError)> {
+    results
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| r.map_err(|e| (i, e)))
+        .collect()
 }
 
-/// Executes one job with panic isolation.
-fn run_one<T, F>(job: &F, worker: usize, panics: &AtomicU64) -> JobOutcome<T>
-where
-    F: Fn() -> T,
-{
-    let t0 = Instant::now();
-    let quiet = QuietPanics::enter();
-    let result = panic::catch_unwind(AssertUnwindSafe(job)).map_err(|payload| {
-        panics.fetch_add(1, Ordering::Relaxed);
-        JobError {
-            message: panic_message(&*payload),
-        }
+/// Runs `f` under `catch_unwind` with the default panic-hook output
+/// suppressed on this thread: a caught panic is a *reported value*, not
+/// console noise. Panics on other threads still reach the previously
+/// installed hook. Returns the raw payload on panic; render it with
+/// [`panic_message`].
+///
+/// # Errors
+///
+/// Returns the panic payload when `f` panics.
+pub fn catch_quiet<T>(f: impl FnOnce() -> T) -> std::thread::Result<T> {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let prev = panic::take_hook();
+        panic::set_hook(Box::new(move |info| {
+            if QUIET_DEPTH.try_with(Cell::get).unwrap_or(0) == 0 {
+                prev(info);
+            }
+        }));
     });
-    drop(quiet);
-    JobOutcome {
-        result,
-        stats: JobStats {
-            wall_nanos: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            worker,
-        },
-    }
+    QUIET_DEPTH.with(|d| d.set(d.get() + 1));
+    let result = panic::catch_unwind(AssertUnwindSafe(f));
+    QUIET_DEPTH.with(|d| d.set(d.get() - 1));
+    result
 }
 
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Renders a caught panic payload: the `&str` or `String` message, or a
+/// placeholder for any other payload type.
+#[must_use]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -298,55 +209,16 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Suppresses the default panic-hook backtrace for panics raised by jobs
-/// currently under `catch_unwind` in this pool — an isolated job failure
-/// is a *reported value*, not console noise. Panics on unrelated threads
-/// still reach the previously installed hook.
-struct QuietPanics;
-
-fn suppressed() -> &'static Mutex<HashSet<ThreadId>> {
-    static SET: OnceLock<Mutex<HashSet<ThreadId>>> = OnceLock::new();
-    SET.get_or_init(|| Mutex::new(HashSet::new()))
-}
-
-impl QuietPanics {
-    fn enter() -> QuietPanics {
-        static INSTALL: Once = Once::new();
-        INSTALL.call_once(|| {
-            let prev = panic::take_hook();
-            panic::set_hook(Box::new(move |info| {
-                let me = std::thread::current().id();
-                let quiet = suppressed().lock().is_ok_and(|s| s.contains(&me));
-                if !quiet {
-                    prev(info);
-                }
-            }));
-        });
-        if let Ok(mut set) = suppressed().lock() {
-            set.insert(std::thread::current().id());
-        }
-        QuietPanics
-    }
-}
-
-impl Drop for QuietPanics {
-    fn drop(&mut self) {
-        if let Ok(mut set) = suppressed().lock() {
-            set.remove(&std::thread::current().id());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeSet, HashSet};
+    use std::thread::ThreadId;
 
     fn square_batch(workers: usize, n: u64) -> Vec<u64> {
         let cfg = FleetConfig::from_env().with_workers(workers);
         let jobs: Vec<_> = (0..n).map(|i| move || i * i).collect();
-        run_batch(&cfg, jobs)
-            .into_results()
-            .expect("no job panics")
+        into_results(run_batch(&cfg, jobs)).expect("no job panics")
     }
 
     #[test]
@@ -360,9 +232,9 @@ mod tests {
     #[test]
     fn empty_batch_is_fine() {
         let cfg = FleetConfig::from_env().with_workers(4);
-        let batch = run_batch(&cfg, Vec::<fn() -> u8>::new());
-        assert!(batch.outcomes.is_empty());
-        assert_eq!(batch.stats.jobs, 0);
+        let results = run_batch(&cfg, Vec::<fn() -> u8>::new());
+        assert!(results.is_empty());
+        assert_eq!(into_results(results), Ok(Vec::new()));
     }
 
     #[test]
@@ -376,17 +248,19 @@ mod tests {
                 }) as Box<dyn Fn() -> u64 + Send>
             })
             .collect();
-        let batch = run_batch(&cfg, jobs);
-        assert_eq!(batch.outcomes.len(), 8);
-        for (i, o) in batch.outcomes.iter().enumerate() {
+        let results = run_batch(&cfg, jobs);
+        assert_eq!(results.len(), 8);
+        for (i, r) in results.iter().enumerate() {
             if i == 3 {
-                let err = o.result.as_ref().expect_err("job 3 panics");
+                let err = r.as_ref().expect_err("job 3 panics");
                 assert_eq!(err.to_string(), "job panicked: job three is broken");
             } else {
-                assert_eq!(*o.result.as_ref().expect("healthy job"), i as u64);
+                assert_eq!(*r.as_ref().expect("healthy job"), i as u64);
             }
         }
-        assert_eq!(batch.stats.panics, 1);
+        let (failed, err) = into_results(results).expect_err("one job panicked");
+        assert_eq!(failed, 3);
+        assert_eq!(err.message, "job three is broken");
         // The pool is not poisoned: it runs another batch fine.
         assert_eq!(square_batch(4, 8), (0..8).map(|i| i * i).collect::<Vec<_>>());
     }
@@ -397,16 +271,24 @@ mod tests {
         let jobs: Vec<_> = (0u64..4)
             .map(|i| {
                 move || {
-                    // Inner batch runs inline on this worker.
+                    // Inner batch runs inline on this worker's thread.
+                    let outer = std::thread::current().id();
                     let inner_cfg = FleetConfig::from_env().with_workers(8);
-                    let inner: Vec<_> = (0..4).map(|j| move || i * 10 + j).collect();
-                    let inner_batch = run_batch(&inner_cfg, inner);
-                    assert_eq!(inner_batch.stats.workers, 1, "nested batch collapsed");
-                    inner_batch.into_results().unwrap()
+                    let inner: Vec<_> = (0..4)
+                        .map(|j| move || (i * 10 + j, std::thread::current().id()))
+                        .collect();
+                    into_results(run_batch(&inner_cfg, inner))
+                        .unwrap()
+                        .into_iter()
+                        .map(|(v, thread)| {
+                            assert_eq!(thread, outer, "nested batch collapsed");
+                            v
+                        })
+                        .collect::<Vec<_>>()
                 }
             })
             .collect();
-        let out = run_batch(&cfg, jobs).into_results().unwrap();
+        let out = into_results(run_batch(&cfg, jobs)).unwrap();
         for (i, row) in out.iter().enumerate() {
             let expected: Vec<u64> = (0..4).map(|j| i as u64 * 10 + j).collect();
             assert_eq!(*row, expected);
@@ -414,24 +296,44 @@ mod tests {
     }
 
     #[test]
-    fn accounting_covers_every_job() {
-        let batch = run_batch(
-            &FleetConfig::from_env().with_workers(3),
-            (0..10).map(|i| move || i).collect::<Vec<_>>(),
-        );
-        assert_eq!(batch.stats.jobs, 10);
-        assert_eq!(batch.stats.workers, 3);
-        for o in &batch.outcomes {
-            assert!(o.stats.worker < 3);
-        }
+    fn workers_clamped_to_job_count() {
+        let cfg = FleetConfig::from_env().with_workers(64);
+        let job = || std::thread::current().id();
+        let threads = into_results(run_batch(&cfg, vec![job, job])).unwrap();
+        let distinct: HashSet<ThreadId> = threads.into_iter().collect();
+        assert!(distinct.len() <= 2, "{} threads ran 2 jobs", distinct.len());
+        // One job clamps to one worker, which runs inline on the caller.
+        let only = into_results(run_batch(&cfg, vec![job])).unwrap();
+        assert_eq!(only, vec![std::thread::current().id()]);
     }
 
     #[test]
-    fn workers_clamped_to_job_count() {
-        let batch = run_batch(
-            &FleetConfig::from_env().with_workers(64),
-            vec![|| 1u8, || 2u8],
-        );
-        assert_eq!(batch.stats.workers, 2);
+    fn every_job_runs_exactly_once() {
+        let n = 40;
+        for workers in [1, 2, 3, 8, 64] {
+            let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let runs = &runs;
+            let jobs: Vec<_> = (0..n)
+                .map(|i| {
+                    move || {
+                        // Uneven cost: every fifth job is much slower, so
+                        // fast workers claim past the slow ones.
+                        let spins = if i % 5 == 0 { 200_000 } else { 100 };
+                        let mut acc = i as u64;
+                        for k in 0..spins {
+                            acc = std::hint::black_box(acc.wrapping_mul(31).wrapping_add(k));
+                        }
+                        runs[i].fetch_add(1, Ordering::Relaxed);
+                        (i, acc)
+                    }
+                })
+                .collect();
+            let cfg = FleetConfig::from_env().with_workers(workers);
+            let out = into_results(run_batch(&cfg, jobs)).unwrap();
+            let order: Vec<usize> = out.iter().map(|&(i, _)| i).collect();
+            assert_eq!(order, (0..n).collect::<Vec<_>>(), "workers={workers}");
+            let counts: BTreeSet<usize> = runs.iter().map(|r| r.load(Ordering::Relaxed)).collect();
+            assert_eq!(counts, BTreeSet::from([1]), "workers={workers}");
+        }
     }
 }

@@ -554,18 +554,6 @@ impl<T> Mesh<T> {
     }
 }
 
-impl<T> maple_sim::Clocked for Mesh<T> {
-    type Ctx<'a> = ();
-
-    fn tick(&mut self, now: Cycle, (): ()) {
-        Mesh::tick(self, now);
-    }
-
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        Mesh::next_event(self, now)
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::explicit_counter_loop)]
 mod tests {

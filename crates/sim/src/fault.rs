@@ -209,14 +209,6 @@ impl FaultPlaneConfig {
         self
     }
 
-    /// Overrides both watchdog policies.
-    #[must_use]
-    pub fn with_watchdogs(mut self, engine: WatchdogConfig, mmio: WatchdogConfig) -> Self {
-        self.engine_watchdog = engine;
-        self.mmio_watchdog = mmio;
-        self
-    }
-
     /// The NoC packet-drop schedule for this plane.
     #[must_use]
     pub fn noc_drop_schedule(&self) -> FaultSchedule {

@@ -5,29 +5,29 @@
 //!
 //! - [`Cycle`]: a newtype over the global cycle count with saturating
 //!   arithmetic helpers.
-//! - [`link::Link`] and [`link::DelayQueue`]: latency-annotated message
-//!   channels used to connect components (cores, caches, NoC routers, MAPLE
-//!   pipelines) without shared mutable ownership.
+//! - [`link::DelayQueue`]: a latency-annotated message channel used to
+//!   connect components (cores, caches, DRAM, MAPLE pipelines) without
+//!   shared mutable ownership.
 //! - [`stats`]: counters and log-scale histograms used for the performance
 //!   counters the paper reads out (load counts, load latencies, queue
 //!   occupancy).
 //! - [`rng`]: a deterministic, seedable random-number source so every
 //!   experiment is reproducible bit-for-bit.
-//! - [`Clocked`] and [`Horizon`]: the uniform component interface the
-//!   event-horizon scheduler is built on. Every timing component exposes
-//!   `tick` (advance one cycle) and `next_event` (earliest future cycle at
-//!   which it could act); the driver folds the answers into a [`Horizon`]
-//!   and fast-forwards the clock across provably-quiescent gaps.
+//! - [`Horizon`]: the fold the event-horizon scheduler is built on. Every
+//!   timing component exposes inherent `tick` (advance one cycle) and
+//!   `next_event` (earliest future cycle at which it could act) methods;
+//!   the driver folds the answers into a [`Horizon`] and fast-forwards the
+//!   clock across provably-quiescent gaps.
 //!
 //! # Example
 //!
 //! ```
-//! use maple_sim::{Cycle, link::Link};
+//! use maple_sim::{Cycle, link::DelayQueue};
 //!
-//! let mut link: Link<&str> = Link::new(3); // three-cycle latency
-//! link.send(Cycle(10), "hello");
-//! assert_eq!(link.recv(Cycle(12)), None); // not yet delivered
-//! assert_eq!(link.recv(Cycle(13)), Some("hello"));
+//! let mut q: DelayQueue<&str> = DelayQueue::new();
+//! q.send(Cycle(10), 3, "hello"); // three-cycle latency
+//! assert_eq!(q.recv(Cycle(12)), None); // not yet delivered
+//! assert_eq!(q.recv(Cycle(13)), Some("hello"));
 //! ```
 
 #![deny(missing_docs)]
@@ -102,44 +102,20 @@ impl From<u64> for Cycle {
     }
 }
 
-/// The uniform interface between timing components and the scheduler.
+/// Accumulator folding per-component `next_event` answers into the
+/// scheduler's horizon: the earliest cycle any component may act.
 ///
-/// A clocked component does two things:
-///
-/// - [`tick`](Clocked::tick) advances it across one cycle boundary, with
-///   whatever external context it needs threaded in through the generic
-///   associated [`Ctx`](Clocked::Ctx) type (backing memory, descriptor
-///   queues, …). Components with no external needs use `Ctx<'a> = ()`.
-/// - [`next_event`](Clocked::next_event) reports the earliest cycle at or
-///   after `now` at which ticking the component could have *any* observable
-///   effect: state transitions, message deliveries, and also pure
-///   bookkeeping such as per-cycle stall counters. `None` means the
-///   component is quiescent forever absent external input.
+/// Every timing component has an inherent `next_event(now)` that reports
+/// the earliest cycle at or after `now` at which ticking it could have
+/// *any* observable effect: state transitions, message deliveries, and
+/// also pure bookkeeping such as per-cycle stall counters. `None` means the
+/// component is quiescent forever absent external input.
 ///
 /// The contract that makes quiescence skipping bit-exact: `next_event` may
 /// be conservatively **early** (the driver ticks a component that then does
 /// nothing — wasted host work, still correct) but must never be **late** (a
 /// skipped cycle in which the component would have acted diverges from the
 /// dense reference). Answers earlier than `now` are treated as `now`.
-///
-/// Everything is statically dispatched: the SoC driver folds the per-field
-/// `next_event` answers into a [`Horizon`] without any `&mut dyn` objects.
-pub trait Clocked {
-    /// External context `tick` borrows for one cycle (e.g. the backing
-    /// physical memory). `()` when the component is self-contained.
-    type Ctx<'a>;
-
-    /// Advances the component across the cycle boundary at `now`.
-    fn tick(&mut self, now: Cycle, ctx: Self::Ctx<'_>);
-
-    /// Earliest cycle at or after `now` at which ticking could have an
-    /// observable effect, or `None` when the component is quiescent until
-    /// external input arrives.
-    fn next_event(&self, now: Cycle) -> Option<Cycle>;
-}
-
-/// Accumulator folding per-component [`Clocked::next_event`] answers into
-/// the scheduler's horizon: the earliest cycle any component may act.
 ///
 /// Identity is "no event" (`None`), so a fold over zero components yields a
 /// fully-quiescent horizon and the driver can jump straight to its budget.
@@ -177,8 +153,6 @@ impl Horizon {
 pub enum RunOutcome {
     /// The completion condition was met at the contained cycle.
     Finished(Cycle),
-    /// The cycle budget was exhausted before completion.
-    TimedOut(Cycle),
     /// The run stopped without completing and the driver captured a
     /// structured snapshot of the stuck state (cycle-budget expiry with
     /// outstanding work, or a poisoned engine). Carries the cycle inside
@@ -191,7 +165,7 @@ impl RunOutcome {
     #[must_use]
     pub fn cycle(&self) -> Cycle {
         match self {
-            RunOutcome::Finished(c) | RunOutcome::TimedOut(c) => *c,
+            RunOutcome::Finished(c) => *c,
             RunOutcome::Hung(d) => d.at,
         }
     }
@@ -210,27 +184,6 @@ impl RunOutcome {
             _ => None,
         }
     }
-}
-
-/// Drives `tick` once per cycle until `done` reports true or `max_cycles`
-/// elapses.
-///
-/// This is the outermost loop of every experiment. `tick` receives the
-/// current cycle; `done` is evaluated after each tick.
-pub fn run_until(
-    max_cycles: u64,
-    mut tick: impl FnMut(Cycle),
-    mut done: impl FnMut() -> bool,
-) -> RunOutcome {
-    let mut now = Cycle::ZERO;
-    while now.0 < max_cycles {
-        tick(now);
-        if done() {
-            return RunOutcome::Finished(now);
-        }
-        now += 1;
-    }
-    RunOutcome::TimedOut(now)
 }
 
 #[cfg(test)]
@@ -262,21 +215,11 @@ mod tests {
     }
 
     #[test]
-    fn run_until_finishes() {
-        let n = std::cell::Cell::new(0u64);
-        let outcome = run_until(100, |_| n.set(n.get() + 1), || n.get() == 7);
-        let n = n.get();
-        assert_eq!(outcome, RunOutcome::Finished(Cycle(6)));
+    fn finished_outcome_reports_its_cycle() {
+        let outcome = RunOutcome::Finished(Cycle(6));
         assert_eq!(outcome.cycle(), Cycle(6));
         assert!(outcome.is_finished());
-        assert_eq!(n, 7);
-    }
-
-    #[test]
-    fn run_until_times_out() {
-        let outcome = run_until(10, |_| {}, || false);
-        assert_eq!(outcome, RunOutcome::TimedOut(Cycle(10)));
-        assert!(!outcome.is_finished());
+        assert!(outcome.diagnosis().is_none());
     }
 
     #[test]

@@ -1,108 +1,13 @@
 //! Latency-annotated message channels connecting timing components.
 //!
-//! Components in the SoC never hold references to each other. Instead, each
-//! pair of communicating components shares a [`Link`] (fixed latency, FIFO)
-//! or a [`DelayQueue`] (per-message latency, e.g. DRAM responses completing
-//! out of order). The owner of the simulation loop moves messages between
-//! links each cycle.
+//! Components in the SoC never hold references to each other. Instead,
+//! in-flight traffic sits in a [`DelayQueue`] (per-message latency, e.g.
+//! DRAM responses completing out of order) that its owner drains each
+//! cycle.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::Cycle;
-
-/// A FIFO channel that delivers each message a fixed number of cycles after
-/// it was sent.
-///
-/// Because sends happen at monotonically non-decreasing cycles and the
-/// latency is constant, delivery order equals send order; `Link` therefore
-/// uses a plain queue internally.
-///
-/// # Example
-///
-/// ```
-/// use maple_sim::{Cycle, link::Link};
-///
-/// let mut l: Link<u32> = Link::new(2);
-/// l.send(Cycle(0), 1);
-/// l.send(Cycle(0), 2);
-/// assert_eq!(l.recv(Cycle(2)), Some(1));
-/// assert_eq!(l.recv(Cycle(2)), Some(2));
-/// assert_eq!(l.recv(Cycle(2)), None);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Link<T> {
-    latency: u64,
-    queue: VecDeque<(Cycle, T)>,
-}
-
-impl<T> Link<T> {
-    /// Creates a link whose messages arrive `latency` cycles after sending.
-    #[must_use]
-    pub fn new(latency: u64) -> Self {
-        Link {
-            latency,
-            queue: VecDeque::new(),
-        }
-    }
-
-    /// The fixed delivery latency of this link in cycles.
-    #[must_use]
-    pub fn latency(&self) -> u64 {
-        self.latency
-    }
-
-    /// Enqueues `msg` at cycle `now`; it becomes receivable at
-    /// `now + latency`.
-    pub fn send(&mut self, now: Cycle, msg: T) {
-        self.queue.push_back((now.plus(self.latency), msg));
-    }
-
-    /// Receives the oldest message whose delivery time has arrived, if any.
-    pub fn recv(&mut self, now: Cycle) -> Option<T> {
-        match self.queue.front() {
-            Some((deliver_at, _)) if *deliver_at <= now => {
-                self.queue.pop_front().map(|(_, m)| m)
-            }
-            _ => None,
-        }
-    }
-
-    /// Peeks at the oldest deliverable message without removing it.
-    pub fn peek(&self, now: Cycle) -> Option<&T> {
-        match self.queue.front() {
-            Some((deliver_at, msg)) if *deliver_at <= now => Some(msg),
-            _ => None,
-        }
-    }
-
-    /// The delivery time of the oldest in-flight message, if any. FIFO
-    /// order makes the front message the earliest.
-    #[must_use]
-    pub fn next_deadline(&self) -> Option<Cycle> {
-        self.queue.front().map(|(deliver_at, _)| *deliver_at)
-    }
-
-    /// Number of messages in flight (delivered or not).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether no messages are in flight.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Drains every message that is deliverable at `now`, preserving order.
-    pub fn drain_ready(&mut self, now: Cycle) -> Vec<T> {
-        let mut out = Vec::new();
-        while let Some(m) = self.recv(now) {
-            out.push(m);
-        }
-        out
-    }
-}
 
 struct Pending<T> {
     deliver_at: Cycle,
@@ -249,54 +154,9 @@ impl<T> DelayQueue<T> {
     }
 }
 
-impl<T> crate::Clocked for DelayQueue<T> {
-    type Ctx<'a> = ();
-
-    /// Delivery queues advance passively — the owner pulls due messages
-    /// with [`DelayQueue::recv`]; there is no per-cycle work.
-    fn tick(&mut self, _now: Cycle, (): ()) {}
-
-    /// The earliest in-flight delivery, clamped to `now` (an overdue
-    /// message is receivable immediately).
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        self.next_deadline().map(|d| d.max(now))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn link_delivers_after_latency() {
-        let mut l: Link<u32> = Link::new(5);
-        assert_eq!(l.latency(), 5);
-        l.send(Cycle(0), 42);
-        for c in 0..5 {
-            assert_eq!(l.recv(Cycle(c)), None);
-        }
-        assert_eq!(l.peek(Cycle(5)), Some(&42));
-        assert_eq!(l.recv(Cycle(5)), Some(42));
-        assert!(l.is_empty());
-    }
-
-    #[test]
-    fn link_preserves_fifo_order() {
-        let mut l: Link<u32> = Link::new(1);
-        for i in 0..10 {
-            l.send(Cycle(i), i as u32);
-        }
-        assert_eq!(l.len(), 10);
-        let got = l.drain_ready(Cycle(100));
-        assert_eq!(got, (0..10).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn link_zero_latency_same_cycle() {
-        let mut l: Link<&str> = Link::new(0);
-        l.send(Cycle(7), "x");
-        assert_eq!(l.recv(Cycle(7)), Some("x"));
-    }
 
     #[test]
     fn delay_queue_orders_by_deadline() {

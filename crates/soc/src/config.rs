@@ -67,13 +67,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Overrides the crossbar latency.
-    #[must_use]
-    pub fn with_xbar_latency(mut self, cycles: u64) -> Self {
-        self.xbar_latency = cycles;
-        self
-    }
-
     /// Number of clusters.
     #[must_use]
     pub fn clusters(&self) -> usize {
@@ -502,17 +495,6 @@ pub struct TileLayout {
 }
 
 impl TileLayout {
-    /// The single L2 tile of a flat (unbanked) configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the layout has more than one bank — callers that can
-    /// see banked configurations must index `l2_tiles` explicitly.
-    #[must_use]
-    pub fn l2_tile(&self) -> Coord {
-        assert_eq!(self.l2_tiles.len(), 1, "banked layout has no single L2 tile");
-        self.l2_tiles[0]
-    }
 }
 
 #[cfg(test)]

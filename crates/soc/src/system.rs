@@ -376,21 +376,9 @@ impl System {
         }
     }
 
-    /// Host write of a `u64` slice starting at `va`.
-    pub fn write_slice_u64(&mut self, va: VAddr, data: &[u64]) {
-        for (i, &v) in data.iter().enumerate() {
-            self.write_u64(va.offset(i as u64 * 8), v);
-        }
-    }
-
     /// Host read of `n` `u32`s starting at `va`.
     pub fn read_slice_u32(&mut self, va: VAddr, n: usize) -> Vec<u32> {
         (0..n).map(|i| self.read_u32(va.offset(i as u64 * 4))).collect()
-    }
-
-    /// Host read of `n` `u64`s starting at `va`.
-    pub fn read_slice_u64(&mut self, va: VAddr, n: usize) -> Vec<u64> {
-        (0..n).map(|i| self.read_u64(va.offset(i as u64 * 8))).collect()
     }
 
     // --- device and thread management ------------------------------------
@@ -1552,12 +1540,6 @@ impl System {
     #[must_use]
     pub fn l2(&self) -> &SharedL2 {
         &self.l2[0]
-    }
-
-    /// L2 bank `b` of a banked (clustered) configuration.
-    #[must_use]
-    pub fn l2_bank(&self, b: usize) -> &SharedL2 {
-        &self.l2[b]
     }
 
     /// Number of L2 banks (1 for flat configurations).

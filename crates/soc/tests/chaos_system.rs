@@ -154,7 +154,7 @@ fn ack_blackout_yields_hang_diagnosis_not_timeout() {
         11,
     );
     assert!(!out.is_finished());
-    let d = out.diagnosis().expect("structured diagnosis, not TimedOut");
+    let d = out.diagnosis().expect("structured diagnosis");
     assert!(d.any_poisoned(), "engine reported poisoned:\n{d}");
     assert!(
         d.at.0 < 5_000_000,

@@ -4,10 +4,6 @@
 
 use crate::gen::Gen;
 use maple_sim::rng::SimRng;
-use std::collections::HashSet;
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Mutex, Once, OnceLock};
-use std::thread::ThreadId;
 
 /// Default number of generated cases per property. Kept moderate because
 /// several properties drive full-system simulations; raise per-property
@@ -149,8 +145,8 @@ where
             }
         })
         .collect();
-    let verdicts = maple_fleet::run_batch(&maple_fleet::FleetConfig::from_env(), jobs)
-        .into_results()
+    let results = maple_fleet::run_batch(&maple_fleet::FleetConfig::from_env(), jobs);
+    let verdicts = maple_fleet::into_results(results)
         .unwrap_or_else(|(i, e)| {
             panic!(
                 "[maple-testkit] property '{}' case {i} escaped run_case: {e}",
@@ -215,26 +211,22 @@ where
 }
 
 /// Runs the property once; `Some(message)` on failure (error or panic).
+/// Caught panics stay off the console: shrinking may run hundreds of
+/// intentionally failing candidates.
 fn run_case<V, F>(prop: &F, value: &V) -> Option<String>
 where
     F: Fn(&V) -> Result<(), String>,
 {
-    let _quiet = QuietPanics::enter();
-    match panic::catch_unwind(AssertUnwindSafe(|| prop(value))) {
+    match maple_fleet::pool::catch_quiet(|| prop(value)) {
         Ok(Ok(())) => None,
         Ok(Err(msg)) => Some(msg),
         Err(payload) => Some(panic_message(&*payload)),
     }
 }
 
+/// A caught panic as failure reports print it.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("panic: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("panic: {s}")
-    } else {
-        "panic: <non-string payload>".to_string()
-    }
+    format!("panic: {}", maple_fleet::pool::panic_message(payload))
 }
 
 fn clip(s: &str, max: usize) -> String {
@@ -245,49 +237,11 @@ fn clip(s: &str, max: usize) -> String {
     format!("{}… [{} bytes clipped]", &s[..cut], s.len() - cut)
 }
 
-/// Suppresses the default panic-hook backtrace spam for panics raised on
-/// threads currently inside [`run_case`] — shrinking may execute hundreds
-/// of intentionally-failing candidates. Panics from other threads (e.g.
-/// unrelated tests in the same process) still reach the previous hook.
-struct QuietPanics;
-
-fn suppressed() -> &'static Mutex<HashSet<ThreadId>> {
-    static SET: OnceLock<Mutex<HashSet<ThreadId>>> = OnceLock::new();
-    SET.get_or_init(|| Mutex::new(HashSet::new()))
-}
-
-impl QuietPanics {
-    fn enter() -> QuietPanics {
-        static INSTALL: Once = Once::new();
-        INSTALL.call_once(|| {
-            let prev = panic::take_hook();
-            panic::set_hook(Box::new(move |info| {
-                let me = std::thread::current().id();
-                let quiet = suppressed().lock().map(|s| s.contains(&me)).unwrap_or(false);
-                if !quiet {
-                    prev(info);
-                }
-            }));
-        });
-        if let Ok(mut set) = suppressed().lock() {
-            set.insert(std::thread::current().id());
-        }
-        QuietPanics
-    }
-}
-
-impl Drop for QuietPanics {
-    fn drop(&mut self) {
-        if let Ok(mut set) = suppressed().lock() {
-            set.remove(&std::thread::current().id());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen;
+    use std::panic::AssertUnwindSafe;
 
     #[test]
     fn passing_property_completes() {

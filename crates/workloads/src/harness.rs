@@ -347,22 +347,6 @@ pub fn run_with_fallback(
     continue_fallback(requested, threads, None, &mut run)
 }
 
-/// [`run_with_fallback`] on behalf of a serving tenant: every attempt's
-/// [`FaultReport`] is tagged with `tenant`, so a degradation report names
-/// the tenant whose request triggered the descent.
-pub fn run_with_fallback_for_tenant(
-    tenant: u64,
-    requested: Variant,
-    threads: usize,
-    mut run: impl FnMut(Variant, usize) -> RunStats,
-) -> FallbackOutcome {
-    let mut out = continue_fallback(requested, threads, None, &mut run);
-    for (_, stats) in &mut out.attempts {
-        stats.faults.tenant = Some(tenant);
-    }
-    out
-}
-
 /// The tail of [`run_with_fallback`] with the first rung's result
 /// optionally precomputed — callers that evaluate the requested variant
 /// in a fleet batch (e.g. the chaos oracle running it alongside the

@@ -109,8 +109,8 @@ pub fn differential_check(
         .iter()
         .map(|&(variant, threads)| move || run(variant, threads))
         .collect();
-    let grid = maple_fleet::run_batch(&FleetConfig::from_env(), jobs)
-        .into_results()
+    let results = maple_fleet::run_batch(&FleetConfig::from_env(), jobs);
+    let grid = maple_fleet::into_results(results)
         .map_err(|(i, e)| format!("{kernel}/{}: {e}", ORACLE_VARIANTS[i].0.label()))?;
     let doall = &grid[0];
     check_run(&format!("{kernel}/{}", ORACLE_VARIANTS[0].0.label()), doall)?;
@@ -208,8 +208,8 @@ pub fn chaos_check(
         Box::new(move || run(Variant::Doall, 2, None)),
         Box::new(move || run(Variant::MapleDecoupled, 2, Some(&schedule.plane))),
     ];
-    let mut batch = maple_fleet::run_batch(&FleetConfig::from_env(), first_two)
-        .into_results()
+    let results = maple_fleet::run_batch(&FleetConfig::from_env(), first_two);
+    let mut batch = maple_fleet::into_results(results)
         .map_err(|(i, e)| {
             let which = if i == 0 { "doall-baseline" } else { "maple" };
             format!("{label}/{which}: {e}")

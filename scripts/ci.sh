@@ -121,15 +121,6 @@ if [ "$SCALE_WALL" -gt "$SCALE_BUDGET" ]; then
 fi
 echo "    $(tail -n 1 target/scale_gate_jobs1.txt), identical at 1 and 4 workers (${SCALE_WALL}s)"
 
-echo "==> stepper: partitioned throughput floor (skipped honestly on 1-core hosts)"
-# The speedup expectation is host-dependent: a 1-core container pins the
-# parallel stepper at ~1.0x no matter the partition count, so the gate
-# skips itself there (with an explicit message) instead of faking a
-# pass or failing spuriously. Bit-exactness above is never skipped.
-cargo run --offline --release -q -p maple-bench --bin stepper_check \
-    -- --speedup-floor 1.2 | tee target/stepper_speedup.txt
-grep -Eq "stepper speedup gate" target/stepper_speedup.txt
-
 echo "==> lint: clippy, warnings are errors"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
@@ -150,5 +141,14 @@ for ph in ("B", "E", "X", "C", "M"):
     assert ph in phases, f"missing phase {ph}"
 print(f"    trace ok: {len(events)} events, phases {sorted(phases)}")
 PY
+
+echo "==> stepper: partitioned throughput floor (skipped honestly on 1-core hosts)"
+# The speedup expectation is host-dependent: a 1-core container pins the
+# parallel stepper at ~1.0x no matter the partition count, so the gate
+# skips itself there (with an explicit message) instead of faking a
+# pass or failing spuriously. Bit-exactness above is never skipped.
+cargo run --offline --release -q -p maple-bench --bin stepper_check \
+    -- --speedup-floor 1.2 | tee target/stepper_speedup.txt
+grep -Eq "stepper speedup gate" target/stepper_speedup.txt
 
 echo "==> CI gate passed"

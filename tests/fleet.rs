@@ -142,19 +142,19 @@ fn panicking_job_is_isolated_while_others_complete() {
             }) as Box<dyn Fn() -> u64 + Send>
         })
         .collect();
-    let batch = run_batch(&cfg, jobs);
-    assert_eq!(batch.outcomes.len(), 6);
-    for (i, o) in batch.outcomes.iter().enumerate() {
+    let results = run_batch(&cfg, jobs);
+    assert_eq!(results.len(), 6);
+    for (i, r) in results.iter().enumerate() {
         if i == 2 {
-            let err = o.result.as_ref().expect_err("job two must fail");
+            let err = r.as_ref().expect_err("job two must fail");
             assert!(err.message.contains("synthetic failure"), "{err}");
         } else {
-            assert_eq!(*o.result.as_ref().expect("healthy job"), i as u64 * 7);
+            assert_eq!(*r.as_ref().expect("healthy job"), i as u64 * 7);
         }
     }
     // The pool survives: a follow-up batch runs clean.
     let again = run_batch(&cfg, (0u64..4).map(|i| move || i).collect::<Vec<_>>());
-    assert!(again.outcomes.iter().all(|o| o.result.is_ok()));
+    assert!(again.iter().all(Result::is_ok));
 }
 
 #[test]
