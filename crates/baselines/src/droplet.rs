@@ -33,7 +33,7 @@ pub struct IndirectWatch {
 }
 
 /// Prefetcher configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DropletConfig {
     /// Cycles between observing the demand fetch and issuing dependent
     /// prefetches (decode happens when the line returns from DRAM).

@@ -1,19 +1,22 @@
-//! Machine-readable aggregate of the paper-reproduction headline numbers.
+//! Regenerates every result of the paper reproduction in one pass.
 //!
-//! Writes `BENCH_maple.json` at the repository root: per-figure geomean
-//! speedups (Figures 8, 9, 12), the mean load latency view (Figure 11),
-//! the consume round trip (Figure 14), and the harness accounting (jobs,
-//! total sweep wall-clock). The Figure 8, 9 and 12 rows come from one
-//! simulated batch of their deduplicated matrices (Figure 12 shares its
-//! do-all and MAPLE-decoupling cases with Figure 8); only the `harness`
-//! section varies run to run. Diff the JSON against a previous checkout
-//! to spot regressions.
+//! Simulates each distinct case of every figure's plan once, as one
+//! batch (`maple_bench::experiments::sweep`), renders every figure and
+//! table from those rows, and writes `results/<figure>.txt` and
+//! `results/<figure>.json`. Then writes `BENCH_maple.json` at the
+//! repository root from the same reports: per-figure geomean speedups
+//! (Figures 8, 9, 11, 12), the mean load latency view (Figure 11), the
+//! consume round trip (Figure 14), the stepper, serving and scaling
+//! sections, and the harness accounting (jobs, total wall-clock). Only
+//! the host-throughput fields and `harness` vary run to run; `results/`
+//! is byte-identical at any `MAPLE_JOBS`.
 
 use std::fs;
 use std::path::PathBuf;
 
-use maple_bench::experiments::summary_sweep;
-use maple_bench::rtt::measure_roundtrip;
+use maple_bench::experiments::sweep;
+use maple_bench::figures;
+use maple_bench::report::results_path;
 use maple_bench::scaling::{scaling_sweep, SCALE_TILES};
 use maple_bench::stepper::{partitioned_sweep, stall_heavy_comparison};
 use maple_bench::summary::{
@@ -22,7 +25,6 @@ use maple_bench::summary::{
     README_TABLE_BEGIN, README_TABLE_END,
 };
 use maple_serve::{serve, ServeConfig};
-use maple_soc::config::SocConfig;
 
 /// Rewrites the generated throughput block of `README.md` in place from
 /// the freshly built document; leaves the file untouched (and warns)
@@ -68,10 +70,13 @@ fn rewrite_readme_table(readme: &PathBuf, doc: &maple_trace::Json) {
 
 fn main() {
     let t0 = std::time::Instant::now();
-    let figures = summary_sweep();
-
-    eprintln!("[bench_summary] measuring consume round trip...");
-    let rtt = measure_roundtrip(SocConfig::fpga_prototype());
+    let jobs = maple_fleet::FleetConfig::from_env().workers;
+    let results = figures::render(&sweep());
+    for (name, contents) in results.files() {
+        let path = results_path(&name);
+        fs::write(&path, contents).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    }
+    eprintln!("[bench_summary] results/ written");
 
     eprintln!("[bench_summary] measuring stepper host throughput...");
     let cmp = stall_heavy_comparison(0x57E9);
@@ -143,14 +148,11 @@ fn main() {
     eprintln!("{}", serve_metrics.render_table());
 
     let harness = HarnessLine {
-        jobs: figures.fleet.jobs,
+        jobs,
         wall_seconds: t0.elapsed().as_secs_f64(),
     };
     let doc = build_json(
-        &figures.fig08,
-        &figures.fig09,
-        &figures.fig12,
-        rtt.mean_rtt,
+        &results.reports,
         &harness,
         Some(&stepper),
         Some(&partitioned),
@@ -165,8 +167,7 @@ fn main() {
     readme.push("../../README.md");
     rewrite_readme_table(&readme, &doc);
     eprintln!(
-        "[bench_summary] figure sweep {} (total wall {:.2}s)",
-        figures.fleet.render(),
+        "[bench_summary] jobs={jobs}, total wall {:.2}s",
         harness.wall_seconds
     );
     println!("wrote {}", path.display());

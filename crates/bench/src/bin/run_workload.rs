@@ -12,49 +12,14 @@
 //!
 //! `run_workload --list` prints the available (app, dataset) pairs.
 
-use maple_bench::experiments::app_datasets;
-use maple_bench::instances;
-use maple_workloads::{RunStats, Variant};
-
-fn parse_variant(s: &str) -> Option<Variant> {
-    Some(match s {
-        "doall" => Variant::Doall,
-        "sw-dec" => Variant::SwDecoupled,
-        "maple-dec" => Variant::MapleDecoupled,
-        "desc" => Variant::Desc,
-        "sw-pref" => Variant::SwPrefetch { dist: 16 },
-        "maple-lima" => Variant::MapleLima,
-        "droplet" => Variant::Droplet,
-        _ => return None,
-    })
-}
-
-fn run(app: &str, ds: &str, variant: Variant, threads: usize) -> Option<RunStats> {
-    match app {
-        "sdhp" => instances::sdhp()
-            .into_iter()
-            .find(|(l, _)| *l == ds)
-            .map(|(_, i)| i.run(variant, threads)),
-        "spmm" => instances::spmm()
-            .into_iter()
-            .find(|(l, _)| *l == ds)
-            .map(|(_, i)| i.run(variant, threads)),
-        "spmv" => instances::spmv()
-            .into_iter()
-            .find(|(l, _)| *l == ds)
-            .map(|(_, i)| i.run(variant, threads)),
-        "bfs" => instances::bfs()
-            .into_iter()
-            .find(|(l, _)| *l == ds)
-            .map(|(_, i)| i.run(variant, threads)),
-        _ => None,
-    }
-}
+use maple_bench::experiments::{app_datasets, run_case, CaseSpec, VARIANTS};
+use maple_workloads::Variant;
 
 fn usage() -> ! {
+    let labels: Vec<&str> = VARIANTS.iter().map(|v| v.label()).collect();
     eprintln!("usage: run_workload <app> <dataset> <variant> [threads]");
     eprintln!("       run_workload --list");
-    eprintln!("variants: doall sw-dec maple-dec desc sw-pref maple-lima droplet");
+    eprintln!("variants: {}", labels.join(" "));
     std::process::exit(2);
 }
 
@@ -69,7 +34,7 @@ fn main() {
     if args.len() < 3 {
         usage();
     }
-    let Some(variant) = parse_variant(&args[2]) else {
+    let Some(variant) = VARIANTS.into_iter().find(|v| v.label() == args[2]) else {
         eprintln!("unknown variant `{}`", args[2]);
         usage();
     };
@@ -82,10 +47,11 @@ fn main() {
         .map(|t| t.parse().unwrap_or_else(|_| usage()))
         .unwrap_or(default_threads);
 
-    let Some(stats) = run(&args[0], &args[1], variant, threads) else {
+    if !app_datasets().contains(&(args[0].clone(), args[1].clone())) {
         eprintln!("unknown app/dataset `{} {}` (try --list)", args[0], args[1]);
         std::process::exit(2);
-    };
+    }
+    let stats = run_case(&CaseSpec::new(&args[0], &args[1], variant, threads));
     println!("app       {}", args[0]);
     println!("dataset   {}", args[1]);
     println!("variant   {}", variant.label());

@@ -151,7 +151,7 @@ fn main() {
         "—",
     );
     rep.line("stepper speedup", cmp.speedup(), "x", ">=2x acceptance");
-    rep.emit();
+    print!("{}", rep.render());
     println!(
         "stepper ok: bit-exact at {} cycles; dense {:.2} Mcy/s, skipping {:.2} Mcy/s ({:.1}x)",
         cmp.dense.stats.cycles,

@@ -1,21 +1,23 @@
 //! Benchmark harness: regenerates every table and figure of the paper's
 //! evaluation (Section 5) on the simulated SoC.
 //!
-//! Each figure has a binary (`fig08` … `fig15`, `queue_sweep`, `area`,
-//! `tables`) that runs the workload/variant matrix and prints the paper's
-//! rows alongside the measured values. The [`instances`] module pins the
-//! evaluation-grade problem sizes (gather targets far larger than the
-//! caches), and [`report`] renders the result tables.
+//! [`experiments`] plans the cases of every simulated figure and runs
+//! each distinct one once; [`figures`] renders every figure and table
+//! from those rows; the `bench_summary` binary writes them all to
+//! `results/` and rolls the headline numbers into `BENCH_maple.json`.
+//! The [`instances`] module pins the evaluation-grade problem sizes
+//! (gather targets far larger than the caches), and [`report`] renders
+//! the result tables.
 
 #![deny(missing_docs)]
 
 pub mod experiments;
+pub mod figures;
 pub mod instances;
 pub mod report;
-pub mod rtt;
 pub mod scaling;
 pub mod serving;
 pub mod stepper;
 pub mod summary;
 
-pub use report::{print_banner, FigureReport, SpeedupTable};
+pub use report::{banner, FigureReport, SpeedupTable};

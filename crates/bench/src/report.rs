@@ -1,24 +1,23 @@
-//! Result rendering shared by the figure binaries.
+//! Result rendering shared by every figure.
 //!
-//! Every `fig*` binary funnels its results through one [`FigureReport`]:
-//! the text table on stdout, the JSON sidecar in `results/<figure>.json`,
-//! and the aggregate `BENCH_maple.json` (see the `bench_summary` binary)
-//! are all views of the same structure, so they can never drift apart.
+//! Each figure of [`crate::figures`] funnels its results through one
+//! [`FigureReport`]: the text transcript in `results/<figure>.txt`, the
+//! JSON sidecar in `results/<figure>.json`, and the aggregate
+//! `BENCH_maple.json` (see the `bench_summary` binary) are all views of
+//! the same structure, so they can never drift apart.
 
+use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 
 use maple_sim::stats::geomean;
 use maple_trace::{stall_json, stall_table, Json, StallRow};
 
-use crate::experiments::FleetLine;
-
-/// Prints the figure banner.
-pub fn print_banner(figure: &str, paper_claim: &str) {
-    println!("================================================================");
-    println!("{figure}");
-    println!("paper: {paper_claim}");
-    println!("================================================================");
+/// The figure banner: title and the paper's claim between rules.
+#[must_use]
+pub fn banner(figure: &str, paper_claim: &str) -> String {
+    let rule = "================================================================";
+    format!("{rule}\n{figure}\npaper: {paper_claim}\n{rule}\n")
 }
 
 /// A speedup table: rows are `(app, dataset)` pairs, columns are
@@ -33,9 +32,9 @@ pub struct SpeedupTable {
 impl SpeedupTable {
     /// Creates a table with the given variant columns.
     #[must_use]
-    pub fn new(columns: &[&str]) -> Self {
+    pub fn new(columns: &[impl AsRef<str>]) -> Self {
         SpeedupTable {
-            columns: columns.iter().map(|s| (*s).to_owned()).collect(),
+            columns: columns.iter().map(|s| s.as_ref().to_owned()).collect(),
             rows: Vec::new(),
             unit: None,
         }
@@ -68,36 +67,38 @@ impl SpeedupTable {
             .collect()
     }
 
-    /// The column labels.
+    /// The rows: a workload label and one cell per column.
     #[must_use]
-    pub fn columns(&self) -> &[String] {
-        &self.columns
+    pub fn rows(&self) -> &[(String, Vec<f64>)] {
+        &self.rows
     }
 
     /// Renders the table; ratio tables get a geomean footer.
-    pub fn print(&self) {
-        print!("{:<22}", "workload");
+    #[must_use]
+    pub fn render(&self) -> String {
+        let mut out = format!("{:<22}", "workload");
         for c in &self.columns {
-            print!("{c:>12}");
+            let _ = write!(out, "{c:>12}");
         }
-        println!();
+        out.push('\n');
         for (label, values) in &self.rows {
-            print!("{label:<22}");
+            let _ = write!(out, "{label:<22}");
             for v in values {
-                match &self.unit {
-                    None => print!("{v:>11.2}x"),
-                    Some(u) => print!("{v:>10.1}{u}"),
-                }
+                let _ = match &self.unit {
+                    None => write!(out, "{v:>11.2}x"),
+                    Some(u) => write!(out, "{v:>10.1}{u}"),
+                };
             }
-            println!();
+            out.push('\n');
         }
         if self.unit.is_none() {
-            print!("{:<22}", "geomean");
+            let _ = write!(out, "{:<22}", "geomean");
             for g in self.geomeans() {
-                print!("{g:>11.2}x");
+                let _ = write!(out, "{g:>11.2}x");
             }
-            println!();
+            out.push('\n');
         }
+        out
     }
 
     /// JSON form: columns, per-row cells, and (for ratio tables) the
@@ -155,9 +156,9 @@ pub struct SummaryLine {
     pub paper: String,
 }
 
-/// The single renderer behind every figure binary: one structure, three
-/// views (stdout text, `results/<figure>.json` sidecar, and the
-/// aggregate `BENCH_maple.json`).
+/// The single renderer behind every figure: one structure, three views
+/// (the `results/<figure>.txt` transcript, the `results/<figure>.json`
+/// sidecar, and the aggregate `BENCH_maple.json`).
 #[derive(Debug, Default)]
 pub struct FigureReport {
     /// Short slug (`fig08`) naming the sidecar file.
@@ -172,9 +173,9 @@ pub struct FigureReport {
     pub lines: Vec<SummaryLine>,
     /// Stall-attribution rows (ours; not in the paper), when available.
     pub stalls: Vec<StallRow>,
-    /// Fleet execution accounting (`jobs=N, wall=…s`), when the figure
-    /// ran a suite.
-    pub fleet: Option<FleetLine>,
+    /// Free text closing the text view (cell legends, breakdowns); not
+    /// part of the JSON view.
+    pub footer: String,
 }
 
 impl FigureReport {
@@ -199,29 +200,43 @@ impl FigureReport {
         });
     }
 
-    /// Renders the text view to stdout.
-    pub fn print(&self) {
-        print_banner(&self.title, &self.paper);
+    /// The value of the headline number labelled `label`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the report has no such line.
+    #[must_use]
+    pub fn value(&self, label: &str) -> f64 {
+        self.lines
+            .iter()
+            .find(|l| l.label == label)
+            .unwrap_or_else(|| panic!("{} has no line `{label}`", self.figure))
+            .value
+    }
+
+    /// The text view.
+    #[must_use]
+    pub fn render(&self) -> String {
+        let mut out = banner(&self.title, &self.paper);
         if let Some(t) = &self.table {
-            t.print();
+            out += &t.render();
         }
         if !self.lines.is_empty() {
-            println!();
+            out.push('\n');
             let width = self.lines.iter().map(|l| l.label.len()).max().unwrap_or(0);
             for l in &self.lines {
-                println!(
+                let _ = writeln!(
+                    out,
                     "{:<width$}  {:>7.2}{}   [paper: {}]",
                     l.label, l.value, l.unit, l.paper
                 );
             }
         }
         if !self.stalls.is_empty() {
-            println!("\nStall attribution (ours):");
-            print!("{}", stall_table(&self.stalls));
+            out += "\nStall attribution (ours):\n";
+            out += &stall_table(&self.stalls);
         }
-        if let Some(fleet) = &self.fleet {
-            println!("\n{}", fleet.render());
-        }
+        out + &self.footer
     }
 
     /// The JSON view backing the sidecar and the aggregate summary.
@@ -256,35 +271,7 @@ impl FigureReport {
         if !self.stalls.is_empty() {
             members.push(("stall_attribution", stall_json(&self.stalls)));
         }
-        if let Some(fleet) = &self.fleet {
-            members.push((
-                "fleet",
-                Json::obj(vec![
-                    ("jobs", Json::from(fleet.jobs as u64)),
-                    ("wall_seconds", Json::from(fleet.wall_seconds)),
-                ]),
-            ));
-        }
         Json::obj(members)
-    }
-
-    /// Writes the JSON sidecar to `results/<figure>.json` (next to the
-    /// checked-in `results/<figure>.txt` transcripts) and reports the
-    /// path on stderr. Errors are reported, not fatal: figures still
-    /// print on a read-only checkout.
-    pub fn write_sidecar(&self) {
-        let path = results_path(&format!("{}.json", self.figure));
-        match fs::write(&path, self.to_json().render_pretty() + "\n") {
-            Ok(()) => eprintln!("[{}] sidecar written to {}", self.figure, path.display()),
-            Err(e) => eprintln!("[{}] sidecar write failed: {e}", self.figure),
-        }
-    }
-
-    /// Prints the text view and writes the JSON sidecar — the standard
-    /// tail of every figure binary.
-    pub fn emit(&self) {
-        self.print();
-        self.write_sidecar();
     }
 }
 
@@ -310,7 +297,8 @@ mod tests {
         let g = t.geomeans();
         assert!((g[0] - 4.0).abs() < 1e-12);
         assert!((g[1] - 1.0).abs() < 1e-12);
-        t.print();
+        let text = t.render();
+        assert!(text.ends_with("geomean                      4.00x       1.00x\n"));
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! Builder for the aggregate `BENCH_maple.json` document.
 //!
 //! Factored out of the `bench_summary` binary so the determinism test
-//! can build the document from fixed inputs: the measurement-derived
-//! content is a pure function of the suite rows, while run-to-run
-//! numbers (wall-clock, worker count) enter only through the explicit
-//! [`HarnessLine`] argument — pass a fixed one and the rendered JSON is
-//! byte-identical at every `MAPLE_JOBS`.
+//! can build the document from fixed inputs: the simulated sections are
+//! read off the same [`FigureReport`]s that render `results/`, while
+//! run-to-run numbers (wall-clock, worker count) enter only through the
+//! explicit [`HarnessLine`] argument — pass a fixed one and the rendered
+//! JSON is byte-identical at every `MAPLE_JOBS`.
 
-use maple_sim::stats::geomean;
 use maple_trace::Json;
 
-use crate::experiments::{find, Measurement};
+use crate::report::FigureReport;
 use crate::scaling::ScaleRow;
 
 /// Run-to-run harness accounting included in the document: the total
@@ -94,72 +93,51 @@ pub struct PartitionedLine {
     pub runs: Vec<(usize, f64, f64)>,
 }
 
-/// The (app, dataset) pairs present in `rows`, in first-appearance
-/// order. Derived from the rows (rather than the full evaluation matrix)
-/// so reduced suites — tests, partial reruns — summarize cleanly.
-#[must_use]
-pub fn pairs_of(rows: &[Measurement]) -> Vec<(String, String)> {
-    let mut pairs: Vec<(String, String)> = Vec::new();
-    for m in rows {
-        let p = (m.app.clone(), m.dataset.clone());
-        if !pairs.contains(&p) {
-            pairs.push(p);
-        }
-    }
-    pairs
-}
-
-/// Geomean of `num.cycles / den.cycles` across every (app, dataset) in
-/// `rows`.
-#[must_use]
-pub fn geomean_speedup(rows: &[Measurement], num_variant: &str, den_variant: &str) -> f64 {
-    let ratios: Vec<f64> = pairs_of(rows)
-        .into_iter()
-        .map(|(app, ds)| {
-            let num = find(rows, &app, &ds, num_variant);
-            let den = find(rows, &app, &ds, den_variant);
-            num.cycles as f64 / den.cycles as f64
-        })
-        .collect();
-    geomean(&ratios)
-}
-
-/// Builds the `BENCH_maple.json` document from the three suite row sets,
-/// the measured consume round trip, and the harness accounting.
+/// Builds the `BENCH_maple.json` document from the figure reports
+/// (Figures 8, 9, 11, 12 and 14 are read; others are ignored) and the
+/// harness accounting.
 ///
-/// Everything except `harness` is a pure function of the measurements.
+/// Everything except `harness` and the host-throughput fields is a pure
+/// function of the reports.
+///
+/// # Panics
+///
+/// Panics when one of the read figures is missing from `reports`.
 #[must_use]
-#[allow(clippy::too_many_arguments)] // one positional slot per document section
 pub fn build_json(
-    fig08: &[Measurement],
-    fig09: &[Measurement],
-    fig12: &[Measurement],
-    consume_rtt: f64,
+    reports: &[FigureReport],
     harness: &HarnessLine,
     stepper: Option<&StepperLine>,
     partitioned: Option<&PartitionedLine>,
     serving: Option<&ServingLine>,
     scaling: Option<&[ScaleRow]>,
 ) -> Json {
-    let latencies: Vec<(String, Json)> = pairs_of(fig09)
-        .into_iter()
-        .map(|(app, ds)| {
-            let base = find(fig09, &app, &ds, "doall");
-            let lima = find(fig09, &app, &ds, "maple-lima");
+    let report = |figure: &str| {
+        reports
+            .iter()
+            .find(|r| r.figure == figure)
+            .unwrap_or_else(|| panic!("no {figure} report"))
+    };
+    let (fig08, fig09, fig11, fig12) = (
+        report("fig08"),
+        report("fig09"),
+        report("fig11"),
+        report("fig12"),
+    );
+    let latencies: Vec<(String, Json)> = fig11
+        .table
+        .as_ref()
+        .expect("fig11 has a table")
+        .rows()
+        .iter()
+        .map(|(workload, cells)| {
             (
-                format!("{app}/{ds}"),
+                workload.clone(),
                 Json::obj(vec![
-                    ("no_prefetch", Json::from(base.load_latency)),
-                    ("maple_lima", Json::from(lima.load_latency)),
+                    ("no_prefetch", Json::from(cells[0])),
+                    ("maple_lima", Json::from(cells[2])),
                 ]),
             )
-        })
-        .collect();
-    let reduction: Vec<f64> = pairs_of(fig09)
-        .into_iter()
-        .map(|(app, ds)| {
-            find(fig09, &app, &ds, "doall").load_latency
-                / find(fig09, &app, &ds, "maple-lima").load_latency
         })
         .collect();
 
@@ -173,11 +151,11 @@ pub fn build_json(
                     Json::obj(vec![
                         (
                             "maple_over_doall",
-                            Json::from(geomean_speedup(fig08, "doall", "maple-dec")),
+                            Json::from(fig08.value("MAPLE over doall (geomean)")),
                         ),
                         (
                             "maple_over_sw_decoupling",
-                            Json::from(geomean_speedup(fig08, "sw-dec", "maple-dec")),
+                            Json::from(fig08.value("MAPLE over software decoupling (geomean)")),
                         ),
                         ("paper_maple_over_doall", Json::from(1.51)),
                         ("paper_maple_over_sw_decoupling", Json::from(2.27)),
@@ -188,11 +166,11 @@ pub fn build_json(
                     Json::obj(vec![
                         (
                             "lima_over_no_prefetch",
-                            Json::from(geomean_speedup(fig09, "doall", "maple-lima")),
+                            Json::from(fig09.value("LIMA over no prefetching (geomean)")),
                         ),
                         (
                             "lima_over_sw_prefetch",
-                            Json::from(geomean_speedup(fig09, "sw-pref", "maple-lima")),
+                            Json::from(fig09.value("LIMA over software prefetching (geomean)")),
                         ),
                         ("paper_lima_over_no_prefetch", Json::from(1.73)),
                         ("paper_lima_over_sw_prefetch", Json::from(2.35)),
@@ -201,7 +179,10 @@ pub fn build_json(
                 (
                     "fig11",
                     Json::obj(vec![
-                        ("lima_latency_reduction", Json::from(geomean(&reduction))),
+                        (
+                            "lima_latency_reduction",
+                            Json::from(fig11.value("LIMA latency reduction (geomean)")),
+                        ),
                         ("paper_lima_latency_reduction", Json::from(1.85)),
                     ]),
                 ),
@@ -210,11 +191,11 @@ pub fn build_json(
                     Json::obj(vec![
                         (
                             "maple_over_desc",
-                            Json::from(geomean_speedup(fig12, "desc", "maple-dec")),
+                            Json::from(fig12.value("MAPLE over DeSC (geomean)")),
                         ),
                         (
                             "maple_over_droplet",
-                            Json::from(geomean_speedup(fig12, "droplet", "maple-dec")),
+                            Json::from(fig12.value("MAPLE over DROPLET (geomean)")),
                         ),
                         ("paper_maple_over_desc", Json::from(1.72)),
                         ("paper_maple_over_droplet", Json::from(1.82)),
@@ -223,7 +204,10 @@ pub fn build_json(
             ]),
         ),
         ("mean_load_latency_cycles", Json::Object(latencies)),
-        ("consume_rtt_cycles", Json::from(consume_rtt)),
+        (
+            "consume_rtt_cycles",
+            Json::from(report("fig14").value("measured mean consume round trip")),
+        ),
         (
             "harness",
             Json::obj(vec![

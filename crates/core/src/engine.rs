@@ -43,7 +43,7 @@ use crate::mmio::{
 use crate::queue::{QueueController, Slot};
 
 /// Engine configuration (RTL parameters fixed at tape-out).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MapleConfig {
     /// Hardware queues per instance (paper: 8).
     pub queues: usize,

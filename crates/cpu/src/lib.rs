@@ -60,7 +60,7 @@ use crate::desc::{DescQueues, SlotTicket};
 use std::collections::HashMap;
 
 /// Core timing parameters.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuConfig {
     /// L1 data cache configuration.
     pub l1: L1Config,

@@ -96,7 +96,7 @@ impl ClusterConfig {
 }
 
 /// Complete system configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SocConfig {
     /// Mesh width in tiles (u16: kilotile fabrics exceed a u8 axis; see
     /// `maple_noc::MAX_NODES` for the hard ceiling).

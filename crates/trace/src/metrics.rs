@@ -125,8 +125,9 @@ pub struct StallRow {
     pub breakdown: StallBreakdown,
 }
 
-/// Renders the stall-attribution table the fig08–fig15 binaries print:
-/// one row per label, percentage of core-cycles per bucket.
+/// Renders the stall-attribution table printed under each figure in
+/// `results/fig08.txt`–`fig15.txt`: one row per label, percentage of
+/// core-cycles per bucket.
 #[must_use]
 pub fn stall_table(rows: &[StallRow]) -> String {
     let mut out = String::new();

@@ -81,7 +81,24 @@ impl Bfs {
         self.run_tuned(variant, threads, |c| c)
     }
 
-    /// Like [`Bfs::run`] with a configuration hook for sweeps.
+    /// The SoC BFS runs a variant on: [`config_for`], with MAPLE's queues
+    /// reshaped for decoupling.
+    #[must_use]
+    pub fn config_for(variant: Variant, threads: usize) -> maple_soc::SocConfig {
+        let cfg = config_for(variant, threads);
+        if !matches!(variant, Variant::MapleDecoupled) {
+            return cfg;
+        }
+        // Fewer, larger queues (Section 3.4): each pair uses one queue
+        // for (v, dv) edges and one for row-bound gathers, and they split
+        // the whole scratchpad for maximum runahead.
+        let pairs = (threads / 2).max(1);
+        let entries = (1024 / (pairs * 2 * 4)).min(256);
+        cfg.with_queue_entries(entries)
+    }
+
+    /// Like [`Bfs::run`] with a configuration hook for sweeps; `tune`
+    /// adjusts [`Bfs::config_for`].
     #[must_use]
     pub fn run_tuned(
         &self,
@@ -89,16 +106,7 @@ impl Bfs {
         threads: usize,
         tune: impl FnOnce(maple_soc::SocConfig) -> maple_soc::SocConfig,
     ) -> RunStats {
-        let mut cfg = config_for(variant, threads);
-        if matches!(variant, Variant::MapleDecoupled) {
-            // Fewer, larger queues (Section 3.4): each pair uses one
-            // queue for (v, dv) edges and one for row-bound gathers, and
-            // they split the whole scratchpad for maximum runahead.
-            let pairs = (threads / 2).max(1);
-            let entries = (1024 / (pairs * 2 * 4)).min(256);
-            cfg = cfg.with_queue_entries(entries);
-        }
-        let mut sys = System::new(tune(cfg));
+        let mut sys = System::new(tune(Self::config_for(variant, threads)));
         let n = self.graph.nrows;
         let dev = Dev {
             rp: upload_u32(&mut sys, &self.graph.row_ptr),

@@ -82,7 +82,18 @@ impl Spmm {
     /// Runs a variant and verifies the dense output.
     #[must_use]
     pub fn run(&self, variant: Variant, threads: usize) -> RunStats {
-        let mut sys = System::new(config_for(variant, threads));
+        self.run_tuned(variant, threads, |c| c)
+    }
+
+    /// Like [`Spmm::run`] but lets the caller adjust the SoC configuration.
+    #[must_use]
+    pub fn run_tuned(
+        &self,
+        variant: Variant,
+        threads: usize,
+        tune: impl FnOnce(maple_soc::SocConfig) -> maple_soc::SocConfig,
+    ) -> RunStats {
+        let mut sys = System::new(tune(config_for(variant, threads)));
         let arrays = Arrays {
             acp: upload_u32(&mut sys, &self.a.row_ptr),
             ari: upload_u32(&mut sys, &self.a.col_idx),

@@ -142,6 +142,43 @@ for ph in ("B", "E", "X", "C", "M"):
 print(f"    trace ok: {len(events)} events, phases {sorted(phases)}")
 PY
 
+echo "==> results: one sweep regenerates every committed figure byte-for-byte"
+# bench_summary simulates every figure's distinct cases once and rewrites
+# results/, BENCH_maple.json and README.md's generated tables. results/
+# must come back byte-identical, and so must BENCH_maple.json's simulated
+# sections (its host-throughput fields differ run to run). BENCH_maple.json
+# and README.md are restored afterwards, so the tree is left as found.
+SNAP=target/results_snapshot
+rm -rf "$SNAP"
+mkdir -p "$SNAP"
+cp -r results "$SNAP/results"
+cp BENCH_maple.json README.md "$SNAP/"
+RESULTS_OK=1
+cargo run --offline --release -q -p maple-bench --bin bench_summary > /dev/null || RESULTS_OK=0
+diff -r "$SNAP/results" results || RESULTS_OK=0
+python3 - "$SNAP/BENCH_maple.json" BENCH_maple.json <<'PY' || RESULTS_OK=0
+import json, sys
+def simulated(path):
+    with open(path) as f:
+        doc = json.load(f)
+    out = {k: doc.get(k) for k in
+           ("figures", "mean_load_latency_cycles", "consume_rtt_cycles", "serving")}
+    out["scaling"] = [{k: v for k, v in row.items() if k != "host_mcycles_per_sec"}
+                      for row in doc["scaling"]["rows"]]
+    return out
+committed, fresh = simulated(sys.argv[1]), simulated(sys.argv[2])
+differing = [k for k in committed if committed[k] != fresh[k]]
+if differing:
+    print(f"BENCH_maple.json simulated sections differ: {differing}")
+    sys.exit(1)
+PY
+cp "$SNAP/BENCH_maple.json" "$SNAP/README.md" .
+if [ "$RESULTS_OK" -ne 1 ]; then
+    echo "ERROR: regenerated results differ from the committed ones (diff above)" >&2
+    exit 1
+fi
+echo "    results ok: $(ls results | wc -l) files and BENCH_maple.json's simulated sections reproduced"
+
 echo "==> stepper: partitioned throughput floor (skipped honestly on 1-core hosts)"
 # The speedup expectation is host-dependent: a 1-core container pins the
 # parallel stepper at ~1.0x no matter the partition count, so the gate

@@ -1,6 +1,8 @@
-//! Smoke tests for the figure harness: tiny instances through the same
-//! experiment plumbing the `fig*` binaries use, so a broken experiment
-//! path fails in `cargo test` rather than at figure-generation time.
+//! Smoke tests for the figure harness: the evaluation instances, the
+//! table configs, the area model and the table renderer, so a broken
+//! input to the sweep fails in `cargo test` rather than at
+//! figure-generation time. `tests/fleet.rs` renders every figure from
+//! synthetic sweep rows.
 
 use maple_bench::report::SpeedupTable;
 use maple_core::area::engine_area;

@@ -2,13 +2,14 @@
 //! into the bench harness: results are bit-identical at every worker
 //! count, a panicking job is isolated into a typed error, every suite
 //! simulates every case (no row outlives the code that produced it),
-//! and `bench_summary` simulates each distinct case of its three figure
-//! matrices exactly once.
+//! and `bench_summary` simulates each distinct case of every figure's
+//! plan exactly once.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use maple_bench::experiments::{figure_matrices, suite_with, summary_sweep_with, CaseSpec};
+use maple_bench::experiments::{plan, suite_with, sweep_with, CaseSpec};
+use maple_bench::figures;
 use maple_bench::summary::{build_json, HarnessLine};
 use maple_fleet::{run_batch, FleetConfig};
 use maple_trace::StallBreakdown;
@@ -16,8 +17,8 @@ use maple_workloads::harness::FaultReport;
 use maple_workloads::{RunStats, Variant};
 
 /// A deterministic synthetic "simulation": stats are a pure function of
-/// the case descriptor, so any cross-worker-count divergence can only
-/// come from the fleet plumbing under test.
+/// the case descriptor (machine included), so any cross-worker-count
+/// divergence can only come from the fleet plumbing under test.
 fn synthetic_run(spec: &CaseSpec) -> RunStats {
     let mut h: u64 = 0xfeed;
     for b in spec
@@ -25,6 +26,7 @@ fn synthetic_run(spec: &CaseSpec) -> RunStats {
         .bytes()
         .chain(spec.dataset.bytes())
         .chain(spec.variant.label().bytes())
+        .chain(format!("{:?}", spec.config).into_bytes())
     {
         h = h.wrapping_mul(31).wrapping_add(u64::from(b));
     }
@@ -60,12 +62,7 @@ fn cases_of(variants: &[(Variant, usize)]) -> Vec<CaseSpec> {
     let mut cases = Vec::new();
     for (app, ds) in [("spmv", "small"), ("spmv", "large"), ("bfs", "road")] {
         for &(variant, threads) in variants {
-            cases.push(CaseSpec {
-                app: app.into(),
-                dataset: ds.into(),
-                variant,
-                threads,
-            });
+            cases.push(CaseSpec::new(app, ds, variant, threads));
         }
     }
     cases
@@ -73,23 +70,6 @@ fn cases_of(variants: &[(Variant, usize)]) -> Vec<CaseSpec> {
 
 #[test]
 fn suite_rows_and_summary_json_identical_across_worker_counts() {
-    let fig08_cases = cases_of(&[
-        (Variant::Doall, 2),
-        (Variant::SwDecoupled, 2),
-        (Variant::MapleDecoupled, 2),
-    ]);
-    let fig09_cases = cases_of(&[
-        (Variant::Doall, 1),
-        (Variant::SwPrefetch { dist: 16 }, 1),
-        (Variant::MapleLima, 1),
-    ]);
-    let fig12_cases = cases_of(&[
-        (Variant::Doall, 2),
-        (Variant::MapleDecoupled, 2),
-        (Variant::Desc, 2),
-        (Variant::Droplet, 2),
-    ]);
-
     // Fixed harness line: the run-to-run numbers (wall, jobs) enter the
     // JSON only through this argument, so the rendered document must be
     // byte-identical at every worker count.
@@ -97,37 +77,48 @@ fn suite_rows_and_summary_json_identical_across_worker_counts() {
     let mut reference = None;
     for workers in [1usize, 2, 8] {
         let pool = FleetConfig::from_env().with_workers(workers);
-        let fig08 = suite_with(&pool, "t08", &fig08_cases, synthetic_run);
-        let fig09 = suite_with(&pool, "t09", &fig09_cases, synthetic_run);
-        let fig12 = suite_with(&pool, "t12", &fig12_cases, synthetic_run);
-        assert_eq!(fig08.fleet.jobs, workers);
-        assert_eq!(fig08.rows.len(), fig08_cases.len());
-
-        let mut rows = fig08.rows.clone();
-        rows.extend(fig09.rows.clone());
-        rows.extend(fig12.rows.clone());
-        let json = build_json(
-            &fig08.rows,
-            &fig09.rows,
-            &fig12.rows,
-            42.0,
-            &harness,
-            None,
-            None,
-            None,
-            None,
-        )
-        .render_pretty();
+        let rows = sweep_with(&pool, synthetic_run);
+        let reports = [
+            figures::fig08(&rows.fig08),
+            figures::fig09(&rows.fig09),
+            figures::fig11(&rows.fig09),
+            figures::fig12(&rows.fig12),
+            figures::fig13(&rows.fig13),
+            figures::fig14(),
+            figures::fig15(&rows.fig15),
+        ];
+        let text: Vec<String> = reports.iter().map(|r| r.render()).collect();
+        let json = build_json(&reports, &harness, None, None, None, None).render_pretty();
         match &reference {
-            None => reference = Some((rows, json)),
-            Some((ref_rows, ref_json)) => {
+            None => reference = Some((rows, text, json)),
+            Some((ref_rows, ref_text, ref_json)) => {
                 assert_eq!(&rows, ref_rows, "rows diverged at workers={workers}");
+                assert_eq!(&text, ref_text, "figures diverged at workers={workers}");
                 assert_eq!(
                     &json, ref_json,
                     "summary JSON diverged at workers={workers}"
                 );
             }
         }
+    }
+}
+
+#[test]
+fn every_figure_renders_from_synthetic_sweep_rows() {
+    let rows = sweep_with(&FleetConfig::from_env().with_workers(2), synthetic_run);
+    let files = figures::render(&rows).files();
+    let mut names: Vec<&str> = files.iter().map(|(name, _)| name.as_str()).collect();
+    names.sort_unstable();
+    let mut expected: Vec<String> = ["ablation_maple_scaling", "area", "counters", "hops"]
+        .into_iter()
+        .chain(["queue_sweep", "tables"])
+        .map(|name| format!("{name}.txt"))
+        .chain((8..=15).flat_map(|n| [format!("fig{n:02}.json"), format!("fig{n:02}.txt")]))
+        .collect();
+    expected.sort_unstable();
+    assert_eq!(names, expected);
+    for (name, contents) in &files {
+        assert!(contents.ends_with('\n'), "{name} ends without a newline");
     }
 }
 
@@ -172,7 +163,7 @@ fn every_suite_run_simulates_with_its_own_run_function() {
     };
     let first = suite_with(&pool, "first", &cases, synthetic_run);
     let second = suite_with(&pool, "second", &cases, shifted);
-    for (spec, (a, b)) in cases.iter().zip(first.rows.iter().zip(&second.rows)) {
+    for (spec, (a, b)) in cases.iter().zip(first.iter().zip(&second)) {
         assert_eq!(a.cycles, synthetic_run(spec).cycles);
         assert_eq!(
             b.cycles,
@@ -187,29 +178,27 @@ fn summary_sweep_simulates_each_distinct_case_once() {
     let calls = AtomicUsize::new(0);
     let seen = Mutex::new(Vec::new());
     let pool = FleetConfig::from_env().with_workers(2);
-    let sweep = summary_sweep_with(&pool, |spec| {
+    let sweep = sweep_with(&pool, |spec| {
         calls.fetch_add(1, Ordering::Relaxed);
         seen.lock().expect("no test job panics").push(spec.clone());
         synthetic_run(spec)
     });
     let seen = seen.into_inner().expect("no test job panics");
-    assert_eq!(
-        calls.load(Ordering::Relaxed),
-        64,
-        "Figs 8/9/12 share 16 cases: 24 + 24 + 32 - 16"
-    );
+    // Figs 8/9/12: 24 + 24 + 32 - 16 shared = 64. Fig 13: 18 - 6
+    // two-thread cells of Fig 8 = 12. Fig 15: 8 - 2 do-alls - 2 untuned
+    // round trips = 4. Queue sweep: 10 - 2 do-alls - 2 at 32 entries = 6.
+    // Ablation: 4 - the 8-thread do-all and 1-engine cells of Fig 13 = 2.
+    assert_eq!(calls.load(Ordering::Relaxed), 88);
     for (i, c) in seen.iter().enumerate() {
         assert!(!seen[..i].contains(c), "case {c:?} simulated twice");
     }
 
-    let figures = figure_matrices();
-    for (figure, rows) in figures
-        .iter()
-        .zip([&sweep.fig08, &sweep.fig09, &sweep.fig12])
-    {
+    let plan = plan();
+    for (figure, rows) in plan.each().into_iter().zip(sweep.each()) {
+        assert!(!figure.is_empty());
         assert_eq!(figure.len(), rows.len());
         for (spec, m) in figure.iter().zip(rows) {
-            assert!(seen.contains(spec), "sweep covers every matrix");
+            assert!(seen.contains(spec), "sweep covers every figure's cases");
             assert_eq!(
                 (m.app.as_str(), m.dataset.as_str(), m.variant.as_str()),
                 (
